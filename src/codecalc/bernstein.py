@@ -20,7 +20,7 @@ from .core import (
     signed_result,
     validate_composition,
 )
-from .codes import decode_code, encode_code
+from .codes import _decode_letters, _replace_ith_r, encode_code
 
 
 def _validated_partition(parts) -> Composition:
@@ -50,7 +50,7 @@ def bn_action(n: int, lam) -> SignedIndexResult:
     if zidx < 0 or word[zidx] == "U":
         return ZERO
     exponent = word[zidx + 1 : -1].count("U") + 1
-    new = decode_code(word[:zidx] + "U" + word[zidx + 1 :])
+    new = _decode_letters(word[:zidx] + "U" + word[zidx + 1 :])
     if (
         len(new) != len(lam) + 1
         or sum(new) != sum(lam) + n
@@ -60,37 +60,18 @@ def bn_action(n: int, lam) -> SignedIndexResult:
     return signed_result(exponent, new)
 
 
-def _replace_ith_r(word: str, i: int) -> str:
-    """Turn the i-th R (from the left, counting into the R-tail) into a U."""
-    count = 0
-    for idx, ch in enumerate(word):
-        if ch == "R":
-            count += 1
-            if count == i:
-                return word[:idx] + "U" + word[idx + 1 :]
-    return word + "R" * (i - count - 1) + "U"
-
-
 def lambda_sup(lam, i: int) -> Composition:
     """The i-th sup-index of a partition: i-th R of the code word becomes a U.
 
-    Equivalently (and cross-checked on every call): with j the number of rows
-    >= i, subtract 1 from each of the first j rows and insert a new row i-1
-    after them.
+    Equivalently, with j the number of rows >= i, subtract 1 from each of the
+    first j rows and insert a new row i-1 after them.  ``codecalc verify``
+    checks this code route against that closed form (suite bernstein, op
+    sup_code).
     """
     lam = _validated_partition(lam)
     if not isinstance(i, int) or isinstance(i, bool) or i < 1:
         raise DomainError(f"sup-index position must be an int >= 1, got {i!r}")
-    from_code = decode_code(_replace_ith_r(encode_code(lam).letters, i))
-    j = 0
-    while j < len(lam) and lam[j] >= i:
-        j += 1
-    closed = tuple(p - 1 for p in lam[:j]) + (i - 1,) + lam[j:]
-    if from_code != closed:
-        raise InternalInvariantError(
-            f"sup-index routes disagree for {lam!r}, i={i}: {from_code!r} vs {closed!r}"
-        )
-    return closed
+    return _decode_letters(_replace_ith_r(encode_code(lam).letters, i))
 
 
 def r_index(lam, i: int) -> int:
@@ -107,10 +88,7 @@ def r_index(lam, i: int) -> int:
             count += 1
             if count == i:
                 break
-    value = word[:idx].count("R")
-    if value != lam[i - 1]:
-        raise InternalInvariantError(f"r_index({lam!r}, {i}) = {value}, expected row")
-    return value
+    return word[:idx].count("R")
 
 
 @dataclass(frozen=True)
@@ -137,6 +115,23 @@ class SeriesTerm:
         }
 
 
+def _series(lam: Composition, i_max: int) -> list[SeriesTerm]:
+    """Terms i = 1..i_max for a validated partition, encoding it once."""
+    word = encode_code(lam).letters
+    base = sum(lam)
+    terms: list[SeriesTerm] = []
+    for i in range(1, i_max + 1):
+        index = _decode_letters(_replace_ith_r(word, i))
+        t_exp = sum(index) - base
+        sign_exp = i - 1 - t_exp
+        if sign_exp < 0:
+            raise InternalInvariantError(f"negative sign exponent at i={i} for {lam!r}")
+        terms.append(
+            SeriesTerm(family="schur", i=i, t_exp=t_exp, sign_exp=sign_exp, index=index)
+        )
+    return terms
+
+
 def bernstein_series(lam, i_max: int) -> list[SeriesTerm]:
     """Terms i = 1..i_max of the row-adding operator series applied to lam.
 
@@ -146,18 +141,7 @@ def bernstein_series(lam, i_max: int) -> list[SeriesTerm]:
     lam = _validated_partition(lam)
     if not isinstance(i_max, int) or isinstance(i_max, bool) or i_max < 0:
         raise DomainError(f"i_max must be an int >= 0, got {i_max!r}")
-    base = sum(lam)
-    terms: list[SeriesTerm] = []
-    for i in range(1, i_max + 1):
-        index = lambda_sup(lam, i)
-        t_exp = sum(index) - base
-        sign_exp = base - sum(index) + i - 1
-        if sign_exp < 0:
-            raise InternalInvariantError(f"negative sign exponent at i={i} for {lam!r}")
-        terms.append(
-            SeriesTerm(family="schur", i=i, t_exp=t_exp, sign_exp=sign_exp, index=index)
-        )
-    return terms
+    return _series(lam, i_max)
 
 
 def bernstein_series_window(lam, n_max: int) -> list[SeriesTerm]:
@@ -167,4 +151,4 @@ def bernstein_series_window(lam, n_max: int) -> list[SeriesTerm]:
     if not isinstance(n_max, int) or isinstance(n_max, bool):
         raise DomainError(f"n_max must be an int, got {n_max!r}")
     i_max = max(n_max + 1 + len(lam), 0)
-    return [t for t in bernstein_series(lam, i_max) if t.t_exp <= n_max]
+    return [t for t in _series(lam, i_max) if t.t_exp <= n_max]

@@ -244,6 +244,10 @@ def main(argv=None) -> int:
     except (ParseError, DomainError, InvalidCodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # --file / --output that cannot be opened
+        where = f": {exc.filename!r}" if exc.filename else ""
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
+        return 1
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

@@ -94,6 +94,17 @@ class CodeWord:
         return self.letters
 
 
+def _built(cls, letters: str):
+    """Wrap letters this package built itself, skipping ``cls``'s validation.
+
+    Only for words valid by construction; verify re-validates every encoder's
+    output through the public constructor.
+    """
+    word = object.__new__(cls)
+    object.__setattr__(word, "letters", letters)
+    return word
+
+
 def encode_code(parts: Composition) -> CodeWord:
     """Code word of an index with nonnegative rows.
 
@@ -103,12 +114,12 @@ def encode_code(parts: Composition) -> CodeWord:
     """
     parts = validate_composition(parts)
     if not parts:
-        return CodeWord("")
+        return _built(CodeWord, "")
     chunks = ["R" * parts[-1] + "U"]
     for i in range(len(parts) - 2, -1, -1):
         step = parts[i] - parts[i + 1]
         chunks.append(("R" * step if step >= 0 else "L" * -step) + "U")
-    return CodeWord("".join(chunks))
+    return _built(CodeWord, "".join(chunks))
 
 
 def decode_code(word: CodeWord | str) -> Composition:
@@ -116,6 +127,16 @@ def decode_code(word: CodeWord | str) -> Composition:
     if not isinstance(word, CodeWord):
         word = CodeWord(word)
     return _decode_letters(word.letters)
+
+
+def _replace_ith_r(word: str, i: int) -> str:
+    """Turn the i-th R (from the left, counting into the R-tail) into a U."""
+    idx = -1
+    for count in range(i):
+        idx = word.find("R", idx + 1)
+        if idx < 0:
+            return word + "R" * (i - count - 1) + "U"
+    return word[:idx] + "U" + word[idx + 1 :]
 
 
 def _reduce_and_trim(seq) -> list[str]:
@@ -203,33 +224,33 @@ def _q_exchange_step(word: list[str]):
 
 
 def _straighten_letters(letters, step, decode, minimum: int):
-    """Drive ``step`` until no L remains; cross-checks row count and total.
+    """Drive ``step`` until no L remains, then check row count, total and minimum.
 
-    Returns None on annihilation, else (total sign exponent, final letter
-    list, number of exchange steps taken).
+    The check runs once, on the final word; verify replays the rules one step
+    at a time.  Returns None on annihilation, else (total sign exponent, final
+    rows).
     """
     word = list(letters)
-    nrows = word.count("U")
-    total_size = sum(decode(word))
+    if "L" not in word:
+        return 0, decode(word)  # already straight: no exchange to check
+    start = decode(word)
     total = 0
-    steps = 0
     while "L" in word:
         out = step(word)
         if out is None:
             return None
         inc, word = out
         total += inc
-        steps += 1
-        rows = decode(word)
-        if len(rows) != nrows or sum(rows) != total_size:
-            raise InternalInvariantError(
-                f"exchange changed row count or total: {''.join(word)!r}"
-            )
-        if any(r < minimum for r in rows):
-            raise InternalInvariantError(
-                f"exchange produced a row below {minimum}: {''.join(word)!r}"
-            )
-    return total, word, steps
+    rows = decode(word)
+    if len(rows) != len(start) or sum(rows) != sum(start):
+        raise InternalInvariantError(
+            f"exchanges changed row count or total: {''.join(word)!r}"
+        )
+    if rows and min(rows) < minimum:
+        raise InternalInvariantError(
+            f"exchanges produced a row below {minimum}: {''.join(word)!r}"
+        )
+    return total, rows
 
 
 def straighten_code_trace(word: CodeWord | str):
@@ -244,8 +265,7 @@ def straighten_code_trace(word: CodeWord | str):
     )
     if out is None:
         return None
-    total, final, _ = out
-    rows = _decode_letters(final)
+    total, rows = out
     if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
         raise InternalInvariantError(f"straightened rows not sorted: {rows!r}")
     return total, rows

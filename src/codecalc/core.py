@@ -12,12 +12,17 @@ from dataclasses import dataclass
 Composition = tuple[int, ...]
 
 
+# json.dumps builds a new encoder on every call once it gets non-default
+# arguments; one shared encoder gives the same bytes for less work.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj) -> str:
     """Serialize deterministically: sorted keys, no whitespace.
 
     Canonical output round-trips byte-identically through json.loads.
     """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 class CalcError(Exception):
@@ -52,7 +57,7 @@ class SignedIndexResult:
             raise DomainError(f"sign must be -1, 0 or +1, got {self.sign!r}")
         if self.sign == 0 and self.index != ():
             raise DomainError("the zero result carries no index")
-        if not all(isinstance(p, int) for p in self.index):
+        if not all(type(p) is int for p in self.index):
             raise DomainError(f"index entries must be ints, got {self.index!r}")
 
     @property
@@ -81,11 +86,24 @@ def negate(result: SignedIndexResult) -> SignedIndexResult:
     return SignedIndexResult(-result.sign, result.index)
 
 
+_INDEX_CHARS = frozenset("0123456789-, \t\n\r\f\v")
+
+
 def parse_index(text: str) -> Composition:
-    """Parse a comma- or space-separated index like "1,3,1,6,2"; "" is the empty index."""
-    tokens = text.replace(",", " ").split()
+    """Parse a comma- or space-separated index like "1,3,1,6,2"; "" is the empty index.
+
+    Entries are ASCII integers (-?[0-9]+), separated by whitespace or by one
+    comma with optional whitespace around it.
+    """
+    # The character check leaves int() nothing but -?[0-9]+ to accept.
+    if not _INDEX_CHARS.issuperset(text):
+        raise ParseError(f"not an index: {text!r}")
+    if "," in text:
+        flat = "".join(text.split())
+        if flat[0] == "," or flat[-1] == "," or ",," in flat:
+            raise ParseError(f"not an index (empty entry at a comma): {text!r}")
     try:
-        return tuple(int(tok) for tok in tokens)
+        return tuple(map(int, text.replace(",", " ").split()))
     except ValueError:
         raise ParseError(f"not an index: {text!r}") from None
 

@@ -50,8 +50,7 @@ def straighten_Y_code_trace(parts):
     out = _straighten_letters(word, _q_exchange_step, _decode_letters, 0)
     if out is None:
         return None
-    total, final, _ = out
-    rows = _decode_letters(final)
+    total, rows = out
     if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
         raise InternalInvariantError(f"straightened rows not sorted: {rows!r}")
     if any(rows[i] == rows[i + 1] for i in range(len(rows) - 1)):
@@ -92,27 +91,17 @@ def yn_action(n: int, lam) -> SignedIndexResult:
     return signed_result(j, lam[:j] + (n,) + lam[j:])
 
 
-def _bracket_by_values(lam: Composition, i: int) -> Composition:
-    """Insert the i-th smallest positive integer absent from lam, in order."""
-    present = set(lam)
-    v = 0
-    count = 0
-    while count < i:
-        v += 1
-        if v not in present:
-            count += 1
-    j = sum(1 for p in lam if p > v)
-    return lam[:j] + (v,) + lam[j:]
+def _rr_pairs(word: str) -> list[int]:
+    """Positions t of the adjacent R-pairs word[t:t+2] == "RR", overlaps allowed."""
+    return [t for t in range(len(word) - 1) if word[t] == "R" and word[t + 1] == "R"]
 
 
-def _bracket_by_code(lam: Composition, i: int) -> Composition:
+def _bracket_by_code(word: str, pairs: list[int], i: int) -> Composition:
     """Insert a U between the i-th adjacent R-pair of the code word.
 
-    Pairs are counted left to right, overlaps allowed, continuing into the
-    implicit R-tail past the word's end.
+    ``pairs`` is ``_rr_pairs(word)``; pairs are counted left to right,
+    continuing into the implicit R-tail past the word's end.
     """
-    word = encode_code(lam).letters
-    pairs = [t for t in range(len(word) - 1) if word[t] == "R" and word[t + 1] == "R"]
     if i <= len(pairs):
         t = pairs[i - 1]
         seq = word[: t + 1] + "U" + word[t + 1 :]
@@ -124,21 +113,17 @@ def _bracket_by_code(lam: Composition, i: int) -> Composition:
 def lambda_bracket(lam, i: int) -> Composition:
     """The i-th bracket-index of a strict index (i = 0 appends a zero row).
 
-    For i >= 1 this inserts the i-th absent positive value; the equivalent
-    code-word construction is evaluated too and cross-checked on every call.
+    For i >= 1 a U goes into the i-th RR pair of the code word, which inserts
+    the i-th positive value absent from lam.  ``codecalc verify`` checks this
+    code route against the value insertion (suite qvertex, op bracket_code).
     """
     lam = _validated_strict(lam)
     if not isinstance(i, int) or isinstance(i, bool) or i < 0:
         raise DomainError(f"bracket position must be an int >= 0, got {i!r}")
     if i == 0:
         return lam + (0,)
-    by_values = _bracket_by_values(lam, i)
-    by_code = _bracket_by_code(lam, i)
-    if by_values != by_code:
-        raise InternalInvariantError(
-            f"bracket routes disagree for {lam!r}, i={i}: {by_values!r} vs {by_code!r}"
-        )
-    return by_values
+    word = encode_code(lam).letters
+    return _bracket_by_code(word, _rr_pairs(word), i)
 
 
 @dataclass(frozen=True)
@@ -203,9 +188,11 @@ def q_series_i_form(lam, i_max: int) -> list[QSeriesTerm]:
         raise DomainError(f"i_max must be an int >= 0, got {i_max!r}")
     l = len(lam)
     base = sum(lam)
+    word = encode_code(lam).letters
+    pairs = _rr_pairs(word)
     terms: list[QSeriesTerm] = []
     for i in range(i_max + 1):
-        index = lambda_bracket(lam, i)
+        index = _bracket_by_code(word, pairs, i) if i else lam + (0,)
         n = sum(index) - base
         sign_exp = l + base - sum(index) + i
         if sign_exp != index.index(n) or i != n - l + sign_exp:

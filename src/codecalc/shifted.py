@@ -19,17 +19,19 @@ from .core import (
     InvalidCodeError,
     SignedIndexResult,
     ZERO,
+    is_strict_partition,
     signed_result,
     validate_composition,
 )
 from .codes import (
     CodeWord,
+    _built,
     _decode_letters,
     _exchange_step,
+    _replace_ith_r,
     _straighten_letters,
     reduce_word,
 )
-from . import qvertex
 
 
 def _decode_shifted_letters(seq) -> Composition:
@@ -84,12 +86,12 @@ def encode_shifted(parts) -> ShiftedCodeWord:
     """
     parts = validate_composition(parts, minimum=1)
     if not parts:
-        return ShiftedCodeWord("")
+        return _built(ShiftedCodeWord, "")
     chunks = ["R" * (parts[-1] - 1) + "U"]
     for i in range(len(parts) - 2, -1, -1):
         step = parts[i] - parts[i + 1] - 1
         chunks.append(("R" * step if step >= 0 else "L" * -step) + "U")
-    return ShiftedCodeWord("".join(chunks))
+    return _built(ShiftedCodeWord, "".join(chunks))
 
 
 def decode_shifted(word: ShiftedCodeWord | str) -> Composition:
@@ -115,8 +117,7 @@ def shifted_straighten_trace(word: ShiftedCodeWord | str):
     )
     if out is None:
         return None
-    total, final, _ = out
-    rows = _decode_shifted_letters(final)
+    total, rows = out
     if any(rows[i] <= rows[i + 1] for i in range(len(rows) - 1)):
         raise InternalInvariantError(f"shifted rows not strictly sorted: {rows!r}")
     return total, rows
@@ -172,27 +173,13 @@ def preshift(word: CodeWord | str) -> PreshiftedWord:
 def lambda_bracket_shifted(lam, i: int) -> Composition:
     """The i-th bracket-index via the shifted code: its i-th R becomes a U.
 
-    Counts into the R-tail when i exceeds the stored R's; cross-checked
-    against the value-insertion construction on every call.
+    Counts into the R-tail when i exceeds the stored R's.  ``codecalc verify``
+    checks this code route against the value insertion (suite shifted, op
+    bracket_shifted).
     """
     lam = validate_composition(lam, minimum=1)
     if not isinstance(i, int) or isinstance(i, bool) or i < 1:
         raise DomainError(f"bracket position must be an int >= 1, got {i!r}")
-    word = encode_shifted(lam).letters
-    count = 0
-    seq = None
-    for idx, ch in enumerate(word):
-        if ch == "R":
-            count += 1
-            if count == i:
-                seq = word[:idx] + "U" + word[idx + 1 :]
-                break
-    if seq is None:
-        seq = word + "R" * (i - count - 1) + "U"
-    got = decode_shifted(seq)
-    expected = qvertex.lambda_bracket(lam, i)
-    if got != expected:
-        raise InternalInvariantError(
-            f"shifted bracket disagrees for {lam!r}, i={i}: {got!r} vs {expected!r}"
-        )
-    return got
+    if not is_strict_partition(lam):
+        raise DomainError(f"{lam!r} is not strictly decreasing")
+    return _decode_shifted_letters(_replace_ith_r(encode_shifted(lam).letters, i))

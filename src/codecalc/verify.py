@@ -4,20 +4,33 @@ Each suite enumerates its inputs in a fixed order (randomised checks use a
 fixed seed), records mismatches as JSON-ready failure dicts, and returns a
 VerifyReport.  The corpus suite replays a JSON-lines file of worked examples
 through the same operations the CLI exposes.
+
+The public operations compute each answer once, by the code route; this
+module is where the independent routes are compared with it.  Besides the
+three-way straightening agreement, the suites replay the plain, Q and
+shifted exchange rules one step at a time (op ``step_invariants``),
+re-validate every encoder output through the public word constructors (op
+``encode_valid``), and compare the sup- and bracket-indexes with their
+closed and value forms (ops ``sup_code``, ``bracket_code``,
+``bracket_shifted``).
 """
 
 from __future__ import annotations
 
+import json
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 from . import bernstein, codes, oracle, qvertex, shifted
 from .core import (
     CalcError,
     DomainError,
+    InvalidCodeError,
+    ParseError,
     canonical_json,
     classify,
     negate,
@@ -48,67 +61,143 @@ class VerifyReport:
         if expected != got:
             self.fail(input_, expected, got)
 
+    @contextmanager
+    def guard(self, input_):
+        """Record a CalcError raised while checking input_ as one failed case,
+        so a broken route shows up as failures rather than ending the sweep."""
+        try:
+            yield
+        except CalcError as exc:
+            self.cases += 1
+            self.fail(input_, "no error", f"{type(exc).__name__}: {exc}")
 
-def _compositions(max_part: int, max_len: int, min_part: int = 0):
+
+def compositions(max_part: int, max_len: int, min_part: int = 0):
+    """Every tuple of length <= max_len with entries in min_part..max_part."""
     for length in range(max_len + 1):
         yield from product(range(min_part, max_part + 1), repeat=length)
 
 
-def _partitions(max_part: int, max_len: int):
-    for mu in _compositions(max_part, max_len):
-        if all(mu[i] >= mu[i + 1] for i in range(len(mu) - 1)):
-            yield mu
+def partitions(max_part: int, max_len: int):
+    """Every weakly decreasing tuple of length <= max_len with entries in 0..max_part."""
+    for length in range(max_len + 1):
+        yield from combinations_with_replacement(range(max_part, -1, -1), length)
 
 
-def _strict_partitions(max_part: int, max_len: int):
+def strict_partitions(max_part: int, max_len: int):
+    """Every strictly decreasing tuple of length <= max_len with entries in 1..max_part."""
     for length in range(min(max_len, max_part) + 1):
-        for lam in combinations(range(max_part, 0, -1), length):
-            yield lam
+        yield from combinations(range(max_part, 0, -1), length)
 
 
 def _result_json(result) -> dict:
     return result.to_dict()
 
 
+def _validity(word_type, letters: str):
+    """True when the public constructor accepts letters, else its complaint."""
+    try:
+        word_type(letters)
+    except InvalidCodeError as exc:
+        return str(exc)
+    return True
+
+
+def _replay(letters: str, step, decode, minimum: int):
+    """Run an exchange rule one step at a time, checking each step's word.
+
+    Every step must keep the row count and the total and leave no row below
+    ``minimum``.  Returns (steps taken, None) or (steps, the first bad step).
+    """
+    word = list(letters)
+    rows = decode(word)
+    nrows, size = len(rows), sum(rows)
+    steps = 0
+    while "L" in word:
+        out = step(word)
+        if out is None:
+            break
+        word = out[1]
+        steps += 1
+        rows = decode(word)
+        if len(rows) != nrows or sum(rows) != size or any(r < minimum for r in rows):
+            return steps, {"step": steps, "letters": "".join(word), "rows": list(rows)}
+    return steps, None
+
+
+def _sup_closed(lam, i: int):
+    """Closed form of the i-th sup-index: with j the rows >= i, lower those
+    j rows by one and insert a row i-1 after them."""
+    j = sum(1 for p in lam if p >= i)
+    return tuple(p - 1 for p in lam[:j]) + (i - 1,) + tuple(lam[j:])
+
+
+def _bracket_by_values(lam, i: int):
+    """Insert the i-th smallest positive integer absent from lam, in order."""
+    present = set(lam)
+    v = 0
+    count = 0
+    while count < i:
+        v += 1
+        if v not in present:
+            count += 1
+    j = sum(1 for p in lam if p > v)
+    return tuple(lam[:j]) + (v,) + tuple(lam[j:])
+
+
+def _plain_step(word):
+    return codes._exchange_step(word, virtual_prefix=True)
+
+
+def _shifted_step(word):
+    return shifted._exchange_step(word, virtual_prefix=False)
+
+
 def verify_codes(
     max_part: int = 4, max_len: int = 3, samples: int = 2000, seed: int = 0
 ) -> VerifyReport:
-    """Round trips, reduction properties, and three-way straightening agreement."""
+    """Round trips, encoder validity, reduction properties, per-step exchange
+    invariants and three-way straightening agreement."""
     report = VerifyReport("codes")
     start = time.perf_counter()
-    for mu in _compositions(max_part, max_len):
-        word = codes.encode_code(mu)
-        report.check(
-            {"op": "round_trip", "index": list(mu)},
-            list(mu),
-            list(codes.decode_code(word)),
-        )
-        expected = _result_json(oracle.exponent_straighten(mu))
-        report.check(
-            {"op": "straighten_code", "index": list(mu)},
-            expected,
-            _result_json(codes.straighten_code(word)),
-        )
-        report.check(
-            {"op": "reading_straighten", "index": list(mu)},
-            expected,
-            _result_json(codes.reading_straighten(word)),
-        )
-        # exchange-step count is bounded by the U's right of the leftmost L
-        letters = word.letters
-        if "L" in letters:
-            bound = letters[letters.index("L") :].count("U")
-            out = codes._straighten_letters(
-                letters,
-                lambda w: codes._exchange_step(w, virtual_prefix=True),
-                codes._decode_letters,
-                0,
-            )
-            steps = out[2] if out is not None else 0
+    for mu in compositions(max_part, max_len):
+        with report.guard({"index": list(mu)}):
+            word = codes.encode_code(mu)
+            letters = word.letters
             report.check(
-                {"op": "step_bound", "index": list(mu)},
+                {"op": "encode_valid", "index": list(mu)},
                 True,
-                steps <= bound,
+                _validity(codes.CodeWord, letters),
+            )
+            report.check(
+                {"op": "round_trip", "index": list(mu)},
+                list(mu),
+                list(codes.decode_code(word)),
+            )
+            if "L" in letters:
+                steps, bad = _replay(letters, _plain_step, codes._decode_letters, 0)
+                report.check(
+                    {"op": "step_invariants", "rule": "plain", "index": list(mu)},
+                    None,
+                    bad,
+                )
+                # exchange-step count is bounded by the U's right of the leftmost L
+                bound = letters[letters.index("L") :].count("U")
+                report.check(
+                    {"op": "step_bound", "index": list(mu)},
+                    True,
+                    steps <= bound,
+                )
+            expected = _result_json(oracle.exponent_straighten(mu))
+            report.check(
+                {"op": "straighten_code", "index": list(mu)},
+                expected,
+                _result_json(codes.straighten_code(word)),
+            )
+            report.check(
+                {"op": "reading_straighten", "index": list(mu)},
+                expected,
+                _result_json(codes.reading_straighten(word)),
             )
     rng = random.Random(seed)
     for case in range(samples):
@@ -145,11 +234,12 @@ def verify_codes(
             pos = rng.randrange(0, len(letters) + 1)
             letters[pos:pos] = rng.choice(["RL", "LR"])
         raw = "".join(letters)
-        report.check(
-            {"op": "reading_raw", "case": case, "letters": raw},
-            _result_json(oracle.exponent_straighten(mu)),
-            _result_json(codes.reading_straighten(raw)),
-        )
+        with report.guard({"op": "reading_raw", "case": case, "letters": raw}):
+            report.check(
+                {"op": "reading_raw", "case": case, "letters": raw},
+                _result_json(oracle.exponent_straighten(mu)),
+                _result_json(codes.reading_straighten(raw)),
+            )
     report.seconds = time.perf_counter() - start
     return report
 
@@ -158,74 +248,93 @@ def verify_bernstein(max_part: int = 4, max_len: int = 3) -> VerifyReport:
     """Action/series consistency, vanishing degrees, sup-indexes and r_index."""
     report = VerifyReport("bernstein")
     start = time.perf_counter()
-    for lam in _partitions(max_part, max_len):
-        l = len(lam)
-        vanish = {lam[j] - (j + 1) for j in range(l)}
-        n_max = max_part + 2
-        window = bernstein.bernstein_series_window(lam, n_max)
-        by_exp = {t.t_exp: t for t in window}
-        report.check(
-            {"op": "window_distinct", "index": list(lam)},
-            len(window),
-            len(by_exp),
-        )
-        for n in range(-l - 2, n_max + 1):
-            result = bernstein.bn_action(n, lam)
-            report.check(
-                {"op": "vanishing", "index": list(lam), "n": n},
-                n in vanish or n < -l,
-                result.is_zero,
-            )
-            term = by_exp.get(n)
-            report.check(
-                {"op": "series_action", "index": list(lam), "n": n},
-                _result_json(result),
-                {"zero": True}
-                if term is None
-                else {"sign": term.sign, "index": list(term.index)},
-            )
-            if n >= 0:
-                report.check(
-                    {"op": "action_straighten", "index": list(lam), "n": n},
-                    _result_json(codes.straighten_B((n,) + lam)),
-                    _result_json(result),
-                )
-        report.check(
-            {"op": "window_exponents", "index": list(lam)},
-            sorted(n for n in range(-l, n_max + 1) if n not in vanish),
-            sorted(by_exp),
-        )
-        for i in range(1, max_part + max_len + 2):
-            sup = bernstein.lambda_sup(lam, i)  # dual routes cross-checked inside
-            rows_at_least_i = sum(1 for p in lam if p >= i)
-            report.check(
-                {"op": "sup_index", "index": list(lam), "i": i},
-                {"size": sum(lam) + i - 1 - rows_at_least_i, "partition": True},
-                {"size": sum(sup), "partition": classify(sup) != "general"},
-            )
-        for i in range(1, l + 3):
-            expected = lam[i - 1] if i <= l else 0
-            report.check(
-                {"op": "r_index", "index": list(lam), "i": i},
-                expected,
-                bernstein.r_index(lam, i),
-            )
+    for lam in partitions(max_part, max_len):
+        with report.guard({"index": list(lam)}):
+            _check_bernstein(report, lam, max_part, max_len)
     report.seconds = time.perf_counter() - start
     return report
+
+
+def _check_bernstein(report: VerifyReport, lam, max_part: int, max_len: int) -> None:
+    l = len(lam)
+    for i in range(1, max_part + max_len + 2):
+        sup = bernstein.lambda_sup(lam, i)
+        report.check(
+            {"op": "sup_code", "index": list(lam), "i": i},
+            list(_sup_closed(lam, i)),
+            list(sup),
+        )
+        rows_at_least_i = sum(1 for p in lam if p >= i)
+        report.check(
+            {"op": "sup_index", "index": list(lam), "i": i},
+            {"size": sum(lam) + i - 1 - rows_at_least_i, "partition": True},
+            {"size": sum(sup), "partition": classify(sup) != "general"},
+        )
+    for i in range(1, l + 3):
+        expected = lam[i - 1] if i <= l else 0
+        report.check(
+            {"op": "r_index", "index": list(lam), "i": i},
+            expected,
+            bernstein.r_index(lam, i),
+        )
+    vanish = {lam[j] - (j + 1) for j in range(l)}
+    n_max = max_part + 2
+    window = bernstein.bernstein_series_window(lam, n_max)
+    by_exp = {t.t_exp: t for t in window}
+    report.check(
+        {"op": "window_distinct", "index": list(lam)},
+        len(window),
+        len(by_exp),
+    )
+    for n in range(-l - 2, n_max + 1):
+        result = bernstein.bn_action(n, lam)
+        report.check(
+            {"op": "vanishing", "index": list(lam), "n": n},
+            n in vanish or n < -l,
+            result.is_zero,
+        )
+        term = by_exp.get(n)
+        report.check(
+            {"op": "series_action", "index": list(lam), "n": n},
+            _result_json(result),
+            {"zero": True}
+            if term is None
+            else {"sign": term.sign, "index": list(term.index)},
+        )
+        if n >= 0:
+            report.check(
+                {"op": "action_straighten", "index": list(lam), "n": n},
+                _result_json(codes.straighten_B((n,) + lam)),
+                _result_json(result),
+            )
+    report.check(
+        {"op": "window_exponents", "index": list(lam)},
+        sorted(n for n in range(-l, n_max + 1) if n not in vanish),
+        sorted(by_exp),
+    )
 
 
 def verify_qvertex(
     max_part: int = 4, max_len: int = 3, min_part: int = 0, window_pad: int = 5
 ) -> VerifyReport:
-    """Two-route straightening agreement, action laws and series-form equivalence."""
+    """Two-route straightening agreement, per-step Q-rule invariants, bracket
+    routes, action laws and series-form equivalence."""
     report = VerifyReport("qvertex")
     start = time.perf_counter()
-    for mu in _compositions(max_part, max_len, min_part):
-        report.check(
-            {"op": "straighten_Y", "index": list(mu)},
-            _result_json(qvertex.straighten_Y_perm(mu)),
-            _result_json(qvertex.straighten_Y_code(mu)),
-        )
+    for mu in compositions(max_part, max_len, min_part):
+        with report.guard({"index": list(mu)}):
+            letters = codes.encode_code(mu).letters
+            if "L" in letters:
+                report.check(
+                    {"op": "step_invariants", "rule": "q", "index": list(mu)},
+                    None,
+                    _replay(letters, qvertex._q_exchange_step, codes._decode_letters, 0)[1],
+                )
+            report.check(
+                {"op": "straighten_Y", "index": list(mu)},
+                _result_json(qvertex.straighten_Y_perm(mu)),
+                _result_json(qvertex.straighten_Y_code(mu)),
+            )
     for m in range(max_part + 1):
         for n in range(max_part + 1):
             if m != n:
@@ -234,69 +343,96 @@ def verify_qvertex(
                     _result_json(negate(qvertex.straighten_Y_perm((n, m)))),
                     _result_json(qvertex.straighten_Y_perm((m, n))),
                 )
-    for lam in _strict_partitions(max_part, max_len):
-        top = lam[0] if lam else 0
-        for n in range(0, max_part + 3):
-            result = qvertex.yn_action(n, lam)
-            report.check(
-                {"op": "yn_zero", "index": list(lam), "n": n},
-                n in lam,
-                result.is_zero,
-            )
-            report.check(
-                {"op": "yn_straighten", "index": list(lam), "n": n},
-                _result_json(qvertex.straighten_Y_perm((n,) + lam)),
-                _result_json(result),
-            )
-        n_max = top + window_pad
-        j_terms = qvertex.q_series_j_form(lam, n_max)
-        i_terms = qvertex.q_series_i_form(lam, n_max + len(lam))
-        in_window = [t for t in i_terms if t.n <= n_max]
-        report.check(
-            {"op": "series_forms", "index": list(lam), "n_max": n_max},
-            [t.to_dict() for t in j_terms],
-            sorted((t.to_dict() for t in in_window), key=lambda d: d["t_exp"]),
-        )
-        for term in j_terms:
-            report.check(
-                {"op": "series_strict", "index": list(lam), "n": term.n},
-                "strict-partition",
-                classify(term.index),
-            )
+    for lam in strict_partitions(max_part, max_len):
+        with report.guard({"index": list(lam)}):
+            _check_qvertex(report, lam, max_part, window_pad)
     report.seconds = time.perf_counter() - start
     return report
 
 
+def _check_qvertex(report: VerifyReport, lam, max_part: int, window_pad: int) -> None:
+    top = lam[0] if lam else 0
+    n_max = top + window_pad
+    i_max = n_max + len(lam)
+    for i in range(1, i_max + 1):
+        report.check(
+            {"op": "bracket_code", "index": list(lam), "i": i},
+            list(_bracket_by_values(lam, i)),
+            list(qvertex.lambda_bracket(lam, i)),
+        )
+    for n in range(0, max_part + 3):
+        result = qvertex.yn_action(n, lam)
+        report.check(
+            {"op": "yn_zero", "index": list(lam), "n": n},
+            n in lam,
+            result.is_zero,
+        )
+        report.check(
+            {"op": "yn_straighten", "index": list(lam), "n": n},
+            _result_json(qvertex.straighten_Y_perm((n,) + lam)),
+            _result_json(result),
+        )
+    j_terms = qvertex.q_series_j_form(lam, n_max)
+    i_terms = qvertex.q_series_i_form(lam, i_max)
+    in_window = [t for t in i_terms if t.n <= n_max]
+    report.check(
+        {"op": "series_forms", "index": list(lam), "n_max": n_max},
+        [t.to_dict() for t in j_terms],
+        sorted((t.to_dict() for t in in_window), key=lambda d: d["t_exp"]),
+    )
+    for term in j_terms:
+        report.check(
+            {"op": "series_strict", "index": list(lam), "n": term.n},
+            "strict-partition",
+            classify(term.index),
+        )
+
+
 def verify_shifted(max_part: int = 4, max_len: int = 3, i_max: int = 10) -> VerifyReport:
-    """Shifted round trips, preshift consistency and shared straightening."""
+    """Shifted round trips, encoder validity, preshift consistency, per-step
+    shifted-rule invariants, shared straightening and the shifted bracket."""
     report = VerifyReport("shifted")
     start = time.perf_counter()
-    for mu in _compositions(max_part, max_len, 1):
-        word = shifted.encode_shifted(mu)
-        report.check(
-            {"op": "round_trip", "index": list(mu)},
-            list(mu),
-            list(shifted.decode_shifted(word)),
-        )
-        report.check(
-            {"op": "preshift", "index": list(mu)},
-            word.letters,
-            shifted.preshift(codes.encode_code(mu)).strip_prefix().letters,
-        )
-        report.check(
-            {"op": "shifted_straighten", "index": list(mu)},
-            _result_json(qvertex.straighten_Y_perm(mu)),
-            _result_json(shifted.shifted_straighten(word)),
-        )
-    for lam in _strict_partitions(max_part, max_len):
+    for mu in compositions(max_part, max_len, 1):
+        with report.guard({"index": list(mu)}):
+            word = shifted.encode_shifted(mu)
+            letters = word.letters
+            report.check(
+                {"op": "encode_valid", "index": list(mu)},
+                True,
+                _validity(shifted.ShiftedCodeWord, letters),
+            )
+            report.check(
+                {"op": "round_trip", "index": list(mu)},
+                list(mu),
+                list(shifted.decode_shifted(word)),
+            )
+            report.check(
+                {"op": "preshift", "index": list(mu)},
+                letters,
+                shifted.preshift(codes.encode_code(mu)).strip_prefix().letters,
+            )
+            if "L" in letters:
+                report.check(
+                    {"op": "step_invariants", "rule": "shifted", "index": list(mu)},
+                    None,
+                    _replay(letters, _shifted_step, shifted._decode_shifted_letters, 1)[1],
+                )
+            report.check(
+                {"op": "shifted_straighten", "index": list(mu)},
+                _result_json(qvertex.straighten_Y_perm(mu)),
+                _result_json(shifted.shifted_straighten(word)),
+            )
+    for lam in strict_partitions(max_part, max_len):
         if not lam:
             continue
-        for i in range(1, i_max + 1):
-            report.check(
-                {"op": "bracket_shifted", "index": list(lam), "i": i},
-                list(qvertex.lambda_bracket(lam, i)),
-                list(shifted.lambda_bracket_shifted(lam, i)),
-            )
+        with report.guard({"op": "bracket_shifted", "index": list(lam)}):
+            for i in range(1, i_max + 1):
+                report.check(
+                    {"op": "bracket_shifted", "index": list(lam), "i": i},
+                    list(_bracket_by_values(lam, i)),
+                    list(shifted.lambda_bracket_shifted(lam, i)),
+                )
     report.cases += 1
     try:
         shifted.preshift(codes.encode_code((2, 0)))
@@ -330,13 +466,14 @@ def verify_oracle(max_part: int = 3, max_len: int = 3, seed: int = 0) -> VerifyR
             True,
             oracle.bialternant(tuple(swapped)) == -oracle.bialternant(exps),
         )
-    for mu in _compositions(max_part, max_len):
+    for mu in compositions(max_part, max_len):
         result = oracle.exponent_straighten(mu)
-        report.check(
-            {"op": "exponent_vs_code", "index": list(mu)},
-            _result_json(codes.straighten_B(mu)),
-            _result_json(result),
-        )
+        with report.guard({"op": "exponent_vs_code", "index": list(mu)}):
+            report.check(
+                {"op": "exponent_vs_code", "index": list(mu)},
+                _result_json(codes.straighten_B(mu)),
+                _result_json(result),
+            )
         if not mu:
             continue
         poly = oracle.schur_poly(mu, len(mu))
@@ -410,50 +547,85 @@ _CORPUS_OPS = {
 
 
 def corpus_lines(path: str | None = None) -> list[str]:
-    """Raw JSON lines of the worked-example corpus (shipped copy by default)."""
-    if path is not None:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    else:
-        text = (
-            resources.files("codecalc").joinpath("data/corpus.jsonl").read_text("utf-8")
-        )
+    """Raw JSON lines of the worked-example corpus (shipped copy by default).
+
+    An unreadable file raises OSError; a file that is not UTF-8 text raises
+    ParseError.
+    """
+    try:
+        if path is not None:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+        else:
+            text = (
+                resources.files("codecalc").joinpath("data/corpus.jsonl").read_text("utf-8")
+            )
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"corpus file {path!r} is not UTF-8 text: {exc.reason}") from None
     return [line for line in text.splitlines() if line.strip()]
 
 
-def verify_corpus(path: str | None = None) -> VerifyReport:
-    """Replay every corpus entry and require canonical-JSON-identical results."""
-    import json
+def _corpus_entry(line: str):
+    """(op, args, expected) of one corpus line, or None when it is malformed."""
+    try:
+        entry = json.loads(line)
+    except ValueError:
+        return None
+    if not (
+        isinstance(entry, dict)
+        and isinstance(entry.get("op"), str)
+        and isinstance(entry.get("args"), dict)
+        and "expected" in entry
+    ):
+        return None
+    return entry["op"], entry["args"], entry["expected"]
 
+
+def verify_corpus(path: str | None = None) -> VerifyReport:
+    """Replay every corpus entry and require canonical-JSON-identical results.
+
+    A line that is not a JSON object with "op", "args" (an object) and
+    "expected", or whose args the op cannot take, is a failure of that line.
+    """
     report = VerifyReport("corpus")
     start = time.perf_counter()
     for lineno, line in enumerate(corpus_lines(path), start=1):
-        entry = json.loads(line)
-        op = entry["op"]
-        handler = _CORPUS_OPS.get(op)
         report.cases += 1
+        parsed = _corpus_entry(line)
+        if parsed is None:
+            report.fail(
+                {"line": lineno},
+                'a JSON object with "op", "args" and "expected"',
+                line,
+            )
+            continue
+        op, args, expected = parsed
+        handler = _CORPUS_OPS.get(op)
         if handler is None:
             report.fail({"line": lineno, "op": op}, "known op", "unknown op")
             continue
         try:
-            got = handler(entry["args"])
+            got = handler(args)
         except CalcError as exc:
             report.fail(
-                {"line": lineno, "op": op, "args": entry["args"]},
-                entry["expected"],
+                {"line": lineno, "op": op, "args": args},
+                expected,
+                f"{type(exc).__name__}: {exc}",
+            )
+            continue
+        except (AttributeError, KeyError, TypeError) as exc:
+            report.fail(
+                {"line": lineno, "op": op, "args": args},
+                f"args that {op} takes",
                 f"{type(exc).__name__}: {exc}",
             )
             continue
         emitted = canonical_json(got)
-        if emitted != canonical_json(entry["expected"]):
-            report.fail(
-                {"line": lineno, "op": op, "args": entry["args"]},
-                entry["expected"],
-                got,
-            )
+        if emitted != canonical_json(expected):
+            report.fail({"line": lineno, "op": op, "args": args}, expected, got)
         elif canonical_json(json.loads(emitted)) != emitted:
             report.fail(
-                {"line": lineno, "op": op, "args": entry["args"]},
+                {"line": lineno, "op": op, "args": args},
                 "byte-identical round trip",
                 emitted,
             )

@@ -7,7 +7,6 @@ visible verdict per criterion alongside the usual pass/fail status.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from collections import Counter
@@ -20,6 +19,7 @@ from codecalc import (
     shifted,
 )
 from codecalc.codes import reduce_word
+from codecalc.verify import compositions, strict_partitions
 
 
 def _verdict(capsys, num: int, ok: bool, detail: str) -> None:
@@ -27,11 +27,6 @@ def _verdict(capsys, num: int, ok: bool, detail: str) -> None:
     with capsys.disabled():
         print(line, flush=True)
     assert ok, line
-
-
-def _compositions(max_part: int, max_len: int, min_part: int = 0):
-    for length in range(max_len + 1):
-        yield from itertools.product(range(min_part, max_part + 1), repeat=length)
 
 
 def _positive_partitions(max_size: int):
@@ -49,12 +44,6 @@ def _padded_partitions(max_size: int, max_zeros: int = 2):
     for lam in _positive_partitions(max_size):
         for zeros in range(max_zeros + 1):
             yield lam + (0,) * zeros
-
-
-def _strict_partitions(max_part: int):
-    for length in range(max_part + 1):
-        for lam in itertools.combinations(range(max_part, 0, -1), length):
-            yield lam
 
 
 def test_criterion_01_worked_example(capsys):
@@ -88,7 +77,7 @@ def test_criterion_03_triple_agreement(capsys):
     start = time.perf_counter()
     cases = 0
     mismatches = 0
-    for mu in _compositions(6, 5):
+    for mu in compositions(6, 5):
         cases += 1
         word = codes.encode_code(mu)
         expected = oracle.exponent_straighten(mu)
@@ -106,7 +95,7 @@ def test_criterion_04_bialternant_law(capsys):
     nvars = 4
     cases = 0
     mismatches = 0
-    for mu in _compositions(5, 4):
+    for mu in compositions(5, 4):
         cases += 1
         poly = oracle.schur_poly(mu, nvars)
         result = codes.straighten_B(mu)
@@ -165,7 +154,7 @@ def test_criterion_07_q_triple_agreement(capsys):
     start = time.perf_counter()
     cases = 0
     mismatches = 0
-    for mu in _compositions(8, 5, min_part=1):
+    for mu in compositions(8, 5, min_part=1):
         cases += 1
         expected = qvertex.straighten_Y_perm(mu)
         if qvertex.straighten_Y_code(mu) != expected:
@@ -181,7 +170,7 @@ def test_criterion_08_q_series_forms(capsys):
     start = time.perf_counter()
     cases = 0
     mismatches = 0
-    for lam in _strict_partitions(8):
+    for lam in strict_partitions(8, 8):
         n_max = (lam[0] if lam else 0) + 5
         j_terms = qvertex.q_series_j_form(lam, n_max)
         i_terms = [
@@ -211,7 +200,7 @@ def test_criterion_09_dual_definitions(capsys):
             if bernstein.lambda_sup(lam, i) != closed:
                 mismatches += 1
     bracket_cases = 0
-    for lam in _strict_partitions(8):
+    for lam in strict_partitions(8, 8):
         absent = [v for v in range(1, len(lam) + 12) if v not in lam]
         for i in range(11):
             bracket_cases += 1
@@ -230,12 +219,12 @@ def test_criterion_09_dual_definitions(capsys):
 def test_criterion_10_round_trips_and_reduction(capsys):
     mismatches = 0
     plain = 0
-    for mu in _compositions(6, 5):
+    for mu in compositions(6, 5):
         plain += 1
         if codes.decode_code(codes.encode_code(mu)) != mu:
             mismatches += 1
     strict = 0
-    for mu in _compositions(8, 5, min_part=1):
+    for mu in compositions(8, 5, min_part=1):
         strict += 1
         if shifted.decode_shifted(shifted.encode_shifted(mu)) != mu:
             mismatches += 1

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from codecalc import bernstein, codes
 from codecalc.core import DomainError, SignedIndexResult, ZERO
+from codecalc.verify import partitions
 
 
 ACTION_CASES = [
@@ -34,21 +33,13 @@ def test_bn_action_rejects_non_partition():
 
 
 def test_bn_action_matches_straighten():
-    for length in range(4):
-        for lam in itertools.combinations_with_replacement(range(4, -1, -1), length):
-            for n in range(0, 7):
-                assert bernstein.bn_action(n, lam) == codes.straighten_B((n,) + lam)
-
-
-def _partitions(max_part, max_len):
-    for length in range(max_len + 1):
-        yield from itertools.combinations_with_replacement(
-            range(max_part, -1, -1), length
-        )
+    for lam in partitions(4, 3):
+        for n in range(0, 7):
+            assert bernstein.bn_action(n, lam) == codes.straighten_B((n,) + lam)
 
 
 def test_vanishing_degrees():
-    for lam in _partitions(4, 3):
+    for lam in partitions(4, 3):
         l = len(lam)
         vanish = {lam[j] - (j + 1) for j in range(l)}
         for n in range(-l - 2, 7):
@@ -73,12 +64,13 @@ def test_lambda_sup(lam, i, expected):
     assert bernstein.lambda_sup(lam, i) == expected
 
 
-def test_lambda_sup_is_cross_checked_internally():
-    # both routes run on every call; a sweep exercising them is enough
-    for lam in _partitions(5, 4):
+def test_lambda_sup_code_route_matches_closed_form():
+    # lambda_sup returns the code route; compare it with the closed form
+    for lam in partitions(5, 4):
         for i in range(1, 12):
-            sup = bernstein.lambda_sup(lam, i)
-            assert sum(sup) == sum(lam) + i - 1 - sum(1 for p in lam if p >= i)
+            j = sum(1 for p in lam if p >= i)
+            closed = tuple(p - 1 for p in lam[:j]) + (i - 1,) + lam[j:]
+            assert bernstein.lambda_sup(lam, i) == closed, (lam, i)
 
 
 def test_lambda_sup_rejects_bad_i():
@@ -90,7 +82,7 @@ def test_r_index():
     assert bernstein.r_index((4, 2, 2, 1), 1) == 4
     assert bernstein.r_index((4, 2, 2, 1), 3) == 2
     assert bernstein.r_index((4, 2, 2, 1), 9) == 0
-    for lam in _partitions(4, 3):
+    for lam in partitions(4, 3):
         for i in range(1, len(lam) + 3):
             expected = lam[i - 1] if i <= len(lam) else 0
             assert bernstein.r_index(lam, i) == expected
@@ -118,7 +110,7 @@ def test_series_single_row():
 
 
 def test_series_terms_reproduce_action():
-    for lam in _partitions(4, 3):
+    for lam in partitions(4, 3):
         window = bernstein.bernstein_series_window(lam, 6)
         by_exp = {t.t_exp: t for t in window}
         assert len(by_exp) == len(window)  # t-exponents are distinct

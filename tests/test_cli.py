@@ -188,6 +188,44 @@ def test_corpus_failure_reporting(tmp_path, capsys):
     assert failure["suite"] == "corpus" and failure["expected"] == {"zero": True}
 
 
+def test_verify_missing_corpus_file_is_an_error(tmp_path, capsys):
+    code, out, err = _run(
+        capsys, "verify", "--suite", "corpus", "--file", str(tmp_path / "missing.jsonl")
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "missing.jsonl" in err
+
+
+def test_verify_unwritable_output_is_an_error(tmp_path, capsys):
+    code, out, err = _run(
+        capsys, "verify", "--suite", "corpus", "--output", str(tmp_path / "no_dir" / "x")
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "no_dir" in err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "this line is not JSON",
+        canonical_json({"op": "straighten_B", "expected": {"zero": True}}),
+    ],
+    ids=["not-json", "no-args"],
+)
+def test_verify_malformed_corpus_line_is_a_failure(tmp_path, capsys, line):
+    good = canonical_json(
+        {"op": "straighten_B", "args": {"index": [1, 3]}, "expected": {"sign": -1, "index": [2, 2]}}
+    )
+    path = tmp_path / "bad.jsonl"
+    path.write_text(good + "\n" + line + "\n", encoding="utf-8")
+    code, out, err = _run(capsys, "verify", "--suite", "corpus", "--file", str(path))
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0].startswith("suite=corpus cases=2 failures=1")
+    failure = json.loads(lines[1])
+    assert failure["suite"] == "corpus" and failure["input"] == {"line": 2}
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "codecalc", "straighten", "--algebra", "b", "1,3,1,6,2"],

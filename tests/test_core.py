@@ -30,6 +30,11 @@ def test_signed_result_rejects_bad_values():
         core.SignedIndexResult(0, (1,))  # zero carries no index
 
 
+def test_signed_result_rejects_bool_entries():
+    with pytest.raises(core.DomainError):
+        core.SignedIndexResult(1, (True, 2))
+
+
 def test_signed_result_helper_parity():
     assert core.signed_result(0, (2,)).sign == 1
     assert core.signed_result(3, (2,)).sign == -1
@@ -58,6 +63,13 @@ def test_parse_render_round_trip():
 def test_parse_index_rejects_junk():
     with pytest.raises(core.ParseError):
         core.parse_index("1,x,2")
+
+
+# int() alone accepts the first three; the others misplace a separator or sign
+@pytest.mark.parametrize("text", ["1,,2", "1_0", "\u0661,\u0662", ",1", "1,", "+1", "1-2"])
+def test_parse_index_rejects_lenient_forms(text):
+    with pytest.raises(core.ParseError):
+        core.parse_index(text)
 
 
 def test_validate_composition():

@@ -8,6 +8,7 @@ import pytest
 
 from codecalc import qvertex
 from codecalc.core import DomainError, SignedIndexResult, ZERO, negate
+from codecalc.verify import strict_partitions
 
 
 PERM_CASES = [
@@ -43,11 +44,6 @@ def test_anticommutation():
                 )
 
 
-def _strict_partitions(max_part, max_len):
-    for length in range(min(max_part, max_len) + 1):
-        yield from itertools.combinations(range(max_part, 0, -1), length)
-
-
 YN_CASES = [
     (2, (3,), SignedIndexResult(-1, (3, 2))),
     (0, (2, 1), SignedIndexResult(1, (2, 1, 0))),
@@ -63,7 +59,7 @@ def test_yn_action(n, lam, expected):
 
 
 def test_yn_action_matches_straightening():
-    for lam in _strict_partitions(6, 4):
+    for lam in strict_partitions(6, 4):
         for n in range(0, 8):
             assert qvertex.yn_action(n, lam) == qvertex.straighten_Y_perm((n,) + lam)
 
@@ -93,13 +89,13 @@ def test_lambda_bracket(lam, i, expected):
 
 
 def test_lambda_bracket_inserts_absent_values():
-    for lam in _strict_partitions(6, 4):
+    # lambda_bracket returns the code route; compare it with the value form
+    for lam in strict_partitions(6, 4):
         present = set(lam)
+        absent = [v for v in range(1, 11 + len(lam)) if v not in present]
         for i in range(1, 11):
-            out = qvertex.lambda_bracket(lam, i)  # dual routes checked inside
-            inserted = (set(out) - present).pop()
-            assert inserted not in present
-            assert sorted(out, reverse=True) == list(out)
+            out = qvertex.lambda_bracket(lam, i)
+            assert out == tuple(sorted(lam + (absent[i - 1],), reverse=True)), (lam, i)
 
 
 def test_q_series_j_form_single_row():
@@ -132,7 +128,7 @@ def test_q_series_empty_partition():
 
 
 def test_q_series_forms_agree():
-    for lam in _strict_partitions(6, 4):
+    for lam in strict_partitions(6, 4):
         n_max = (lam[0] if lam else 0) + 4
         j_terms = qvertex.q_series_j_form(lam, n_max)
         i_terms = [
@@ -144,7 +140,7 @@ def test_q_series_forms_agree():
 
 
 def test_q_series_terms_match_action():
-    for lam in _strict_partitions(6, 4):
+    for lam in strict_partitions(6, 4):
         for term in qvertex.q_series_j_form(lam, (lam[0] if lam else 0) + 4):
             assert qvertex.yn_action(term.n, lam) == SignedIndexResult(
                 term.sign, term.index

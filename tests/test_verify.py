@@ -1,0 +1,98 @@
+"""The verify suites catch a broken route.
+
+The public operations compute each answer once, by the code route; the
+independent routes and the per-step exchange invariants are compared in the
+verify suites.  Each test here breaks one route and checks that the suite
+owning that check reports it as a failure of the named op.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from codecalc import bernstein, codes, qvertex, shifted, verify
+from codecalc.codes import _built
+
+
+def _shift_i(real):
+    return lambda word, i: real(word, i + 1)
+
+
+def _wrong_bracket(real):
+    return lambda word, pairs, i: real(word, pairs, i + 1)
+
+
+def _extra_row(real):
+    def step(word, **kwargs):
+        out = real(word, **kwargs)
+        return out if out is None else (out[0], out[1] + ["U"])
+
+    return step
+
+
+def _leading_l(word_type, real):
+    return lambda parts: _built(word_type, "L" + real(parts).letters)
+
+
+BROKEN_ROUTES = [
+    # (module, attribute, how to break it, suite, op whose check must fail)
+    (bernstein, "_replace_ith_r", _shift_i, verify.verify_bernstein, "sup_code"),
+    (qvertex, "_bracket_by_code", _wrong_bracket, verify.verify_qvertex, "bracket_code"),
+    (shifted, "_replace_ith_r", _shift_i, verify.verify_shifted, "bracket_shifted"),
+    (codes, "_exchange_step", _extra_row, verify.verify_codes, "step_invariants"),
+    (qvertex, "_q_exchange_step", _extra_row, verify.verify_qvertex, "step_invariants"),
+    (shifted, "_exchange_step", _extra_row, verify.verify_shifted, "step_invariants"),
+    (
+        codes,
+        "encode_code",
+        lambda real: _leading_l(codes.CodeWord, real),
+        verify.verify_codes,
+        "encode_valid",
+    ),
+    (
+        shifted,
+        "encode_shifted",
+        lambda real: _leading_l(shifted.ShiftedCodeWord, real),
+        verify.verify_shifted,
+        "encode_valid",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "module,name,breaker,suite,op",
+    BROKEN_ROUTES,
+    ids=[f"{m.__name__.split('.')[-1]}.{n}" for m, n, *_ in BROKEN_ROUTES],
+)
+def test_suite_reports_broken_route(monkeypatch, module, name, breaker, suite, op):
+    assert suite(3, 3).ok
+    monkeypatch.setattr(module, name, breaker(getattr(module, name)))
+    report = suite(3, 3)
+    failed_ops = {f["input"].get("op") for f in report.failures}
+    assert op in failed_ops, sorted(map(str, failed_ops))
+
+
+def test_guard_records_errors_as_failures(monkeypatch):
+    def broken(word):
+        raise codes.InternalInvariantError("broken on purpose")
+
+    monkeypatch.setattr(codes, "straighten_code", broken)
+    report = verify.verify_codes(2, 2, samples=0)
+    raised = [f for f in report.failures if f["expected"] == "no error"]
+    assert raised and all("broken on purpose" in f["got"] for f in raised)
+
+
+def test_replay_reports_first_bad_step():
+    letters = codes.encode_code((1, 3, 1, 6, 2)).letters
+    steps, bad = verify._replay(
+        letters, _extra_row(verify._plain_step), codes._decode_letters, 0
+    )
+    assert steps == 1 and bad["step"] == 1
+
+
+def test_enumerators():
+    assert list(verify.strict_partitions(3, 2)) == [(), (3,), (2,), (1,), (3, 2), (3, 1), (2, 1)]
+    assert sorted(verify.partitions(2, 2)) == sorted(
+        mu for mu in verify.compositions(2, 2) if list(mu) == sorted(mu, reverse=True)
+    )
+    assert sum(1 for _ in verify.compositions(6, 5)) == 19_608
