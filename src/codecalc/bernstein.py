@@ -14,8 +14,10 @@ from .core import (
     Composition,
     DomainError,
     InternalInvariantError,
+    SERIES_MAX,
     SignedIndexResult,
     ZERO,
+    check_int,
     is_partition,
     signed_result,
     validate_composition,
@@ -40,8 +42,7 @@ def bn_action(n: int, lam) -> SignedIndexResult:
     word's final U, plus one more.
     """
     lam = _validated_partition(lam)
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DomainError(f"degree must be an int, got {n!r}")
+    check_int(n, "degree")
     top = lam[0] if lam else 0
     if n >= top:
         return signed_result(0, (n,) + lam)
@@ -69,16 +70,14 @@ def lambda_sup(lam, i: int) -> Composition:
     sup_code).
     """
     lam = _validated_partition(lam)
-    if not isinstance(i, int) or isinstance(i, bool) or i < 1:
-        raise DomainError(f"sup-index position must be an int >= 1, got {i!r}")
+    check_int(i, "sup-index position", 1)
     return _decode_letters(_replace_ith_r(encode_code(lam).letters, i))
 
 
 def r_index(lam, i: int) -> int:
     """Number of R's left of the i-th U from the right; equals row i (0 past the end)."""
     lam = _validated_partition(lam)
-    if not isinstance(i, int) or isinstance(i, bool) or i < 1:
-        raise DomainError(f"row position must be an int >= 1, got {i!r}")
+    check_int(i, "row position", 1)
     if i > len(lam):
         return 0
     word = encode_code(lam).letters
@@ -139,8 +138,7 @@ def bernstein_series(lam, i_max: int) -> list[SeriesTerm]:
     (-1) ** (|lam| - |lambda^(i)| + i - 1).
     """
     lam = _validated_partition(lam)
-    if not isinstance(i_max, int) or isinstance(i_max, bool) or i_max < 0:
-        raise DomainError(f"i_max must be an int >= 0, got {i_max!r}")
+    check_int(i_max, "i_max", 0, SERIES_MAX)
     return _series(lam, i_max)
 
 
@@ -148,7 +146,6 @@ def bernstein_series_window(lam, n_max: int) -> list[SeriesTerm]:
     """All series terms with t-exponent <= n_max (the t-exponents below that
     window's floor, -len(lam), never occur)."""
     lam = _validated_partition(lam)
-    if not isinstance(n_max, int) or isinstance(n_max, bool):
-        raise DomainError(f"n_max must be an int, got {n_max!r}")
+    check_int(n_max, "n_max", None, SERIES_MAX)
     i_max = max(n_max + 1 + len(lam), 0)
     return [t for t in _series(lam, i_max) if t.t_exp <= n_max]

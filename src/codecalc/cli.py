@@ -139,14 +139,14 @@ def _cmd_series(args) -> int:
 def _cmd_verify(args) -> int:
     fmt = _resolve_format(args)
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    # the corpus suite runs first, so an unreadable file ends the run before any output
+    corpus = verify_corpus(args.file) if "corpus" in names else None
     out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
     try:
         all_ok = True
         for name in names:
             if name == "corpus":
-                report = verify_corpus(args.file)
-            elif name == "codes":
-                report = SUITES[name](args.max_part, args.max_len)
+                report = corpus
             elif name == "qvertex":
                 report = SUITES[name](args.max_part, args.max_len, window_pad=args.n_max)
             elif name == "shifted":

@@ -12,6 +12,12 @@ distinct indexes always get distinct words.
 Straightening rewrites a word containing L's (rows out of order) into either
 the zero result or a signed word without L's (a partition), by repeatedly
 exchanging the leftmost L-run with a letter to its left.
+
+A shifted word (Schur-Q side, strict indexes with positive rows) is the same
+kind of word read with its rows offset by a staircase: the k-th U from the
+left sits k columns further right, so its row is the plain row plus k.  The
+class constant ``shift`` (0 plain, 1 shifted) is the only difference between
+the two styles; it fixes the origin offset and the minimum row.
 """
 
 from __future__ import annotations
@@ -31,30 +37,42 @@ from .core import (
 ALPHABET = frozenset("RLU")
 
 
+def _reduce(seq) -> list[str]:
+    """Cancel adjacent RL / LR pairs in one left-to-right pass."""
+    out: list[str] = []
+    for ch in seq:
+        if out and ch != "U" and out[-1] != "U" and out[-1] != ch:
+            out.pop()
+        else:
+            out.append(ch)
+    return out
+
+
+def _check_alphabet(letters) -> None:
+    if not ALPHABET.issuperset(letters):
+        bad = next(ch for ch in letters if ch not in ALPHABET)
+        raise InvalidCodeError(f"letter {bad!r} is not one of R, L, U")
+
+
 def reduce_word(letters: str) -> str:
     """Cancel adjacent RL / LR pairs until none remain.
 
     The normal form is unique: U's are never touched, and cancellations in any
     order reach the same word.
     """
-    out: list[str] = []
-    for ch in letters:
-        if ch not in ALPHABET:
-            raise InvalidCodeError(f"letter {ch!r} is not one of R, L, U")
-        if out and ch != "U" and out[-1] != "U" and out[-1] != ch:
-            out.pop()
-        else:
-            out.append(ch)
-    return "".join(out)
+    _check_alphabet(letters)
+    return "".join(_reduce(letters))
 
 
-def _decode_letters(seq) -> Composition:
+def _decode_letters(seq, shift: int = 0) -> Composition:
     """Row lengths of a letter sequence: x-position at each U, top row last in seq.
 
-    Returns the rows bottom-row-first reversed into the usual top-down order;
-    entries may be negative for invalid words (callers validate).
+    With ``shift`` 1 the k-th U from the left reads k columns further right
+    (the staircase of the shifted style).  Returns the rows bottom-row-first
+    reversed into the usual top-down order; entries may be below the minimum
+    for invalid words (callers validate).
     """
-    x = 0
+    x = shift
     rows: list[int] = []
     for ch in seq:
         if ch == "R":
@@ -63,15 +81,20 @@ def _decode_letters(seq) -> Composition:
             x -= 1
         else:
             rows.append(x)
+            x += shift
     rows.reverse()
     return tuple(rows)
 
 
 @dataclass(frozen=True)
 class CodeWord:
-    """A reduced finite code word whose rows are all nonnegative."""
+    """A reduced finite code word whose rows are all at least ``shift``.
+
+    ``shift`` is 0 here (plain words, rows >= 0); ShiftedCodeWord sets it to 1.
+    """
 
     letters: str
+    shift = 0  # class constant, not a field
 
     def __post_init__(self) -> None:
         w = self.letters
@@ -82,8 +105,9 @@ class CodeWord:
                 raise InvalidCodeError(f"word {w!r} starts with L")
             if w[-1] != "U":
                 raise InvalidCodeError(f"word {w!r} does not end with U")
-        if any(p < 0 for p in _decode_letters(w)):
-            raise InvalidCodeError(f"word {w!r} has a negative row")
+        if any(p < self.shift for p in _decode_letters(w, self.shift)):
+            below = "has a row below 1" if self.shift else "has a negative row"
+            raise InvalidCodeError(f"word {w!r} {below}")
 
     @property
     def rows(self) -> int:
@@ -92,6 +116,12 @@ class CodeWord:
 
     def __str__(self) -> str:
         return self.letters
+
+
+class ShiftedCodeWord(CodeWord):
+    """A reduced finite shifted-code word whose rows are all positive."""
+
+    shift = 1
 
 
 def _built(cls, letters: str):
@@ -105,28 +135,49 @@ def _built(cls, letters: str):
     return word
 
 
-def encode_code(parts: Composition) -> CodeWord:
-    """Code word of an index with nonnegative rows.
+def _as_word(cls, word):
+    """``word`` itself when its type is exactly ``cls``.
 
-    Built bottom-up: R**m_l U for the bottom row, then for each higher row the
-    net horizontal move (R's or L's) followed by its U.  The result is reduced
-    by construction and empty exactly for the empty index.
+    Any other word (of another style) or string is taken as its letters and
+    validated as a ``cls`` word, so no word is read at another style's offset.
     """
-    parts = validate_composition(parts)
+    if type(word) is cls:
+        return word
+    return cls(word.letters if isinstance(word, CodeWord) else word)
+
+
+def _encode(cls, parts: Composition):
+    """The ``cls`` word of an index with rows >= ``cls.shift``.
+
+    Built bottom-up: R**(m_l - shift) U for the bottom row, then for each
+    higher row the net move m_i - m_{i+1} - shift (R's, or L's when negative)
+    followed by its U.  The result is reduced by construction and empty
+    exactly for the empty index.
+    """
+    s = cls.shift
+    parts = validate_composition(parts, minimum=s)
     if not parts:
-        return _built(CodeWord, "")
-    chunks = ["R" * parts[-1] + "U"]
+        return _built(cls, "")
+    chunks = ["R" * (parts[-1] - s) + "U"]
     for i in range(len(parts) - 2, -1, -1):
-        step = parts[i] - parts[i + 1]
+        step = parts[i] - parts[i + 1] - s
         chunks.append(("R" * step if step >= 0 else "L" * -step) + "U")
-    return _built(CodeWord, "".join(chunks))
+    return _built(cls, "".join(chunks))
+
+
+def _decode(cls, word) -> Composition:
+    """Index encoded by a ``cls`` word (other words and strings are validated)."""
+    return _decode_letters(_as_word(cls, word).letters, cls.shift)
+
+
+def encode_code(parts: Composition) -> CodeWord:
+    """Code word of an index with nonnegative rows."""
+    return _encode(CodeWord, parts)
 
 
 def decode_code(word: CodeWord | str) -> Composition:
-    """Index encoded by a code word (validates strings by wrapping in CodeWord)."""
-    if not isinstance(word, CodeWord):
-        word = CodeWord(word)
-    return _decode_letters(word.letters)
+    """Index encoded by a code word (validates anything but a CodeWord)."""
+    return _decode(CodeWord, word)
 
 
 def _replace_ith_r(word: str, i: int) -> str:
@@ -141,25 +192,23 @@ def _replace_ith_r(word: str, i: int) -> str:
 
 def _reduce_and_trim(seq) -> list[str]:
     """Reduce a letter list and drop trailing L's (they cancel into the R-tail)."""
-    out: list[str] = []
-    for ch in seq:
-        if out and ch != "U" and out[-1] != "U" and out[-1] != ch:
-            out.pop()
-        else:
-            out.append(ch)
+    out = _reduce(seq)
     while out and out[-1] == "L":
         out.pop()
     return out
 
 
-def _leftmost_run(word: list[str]) -> tuple[int, int] | None:
-    """Start index and length of the leftmost maximal L-run, or None."""
-    if "L" not in word:
-        return None
+def _leftmost_run(word: list[str]) -> tuple[int, int]:
+    """Start index and length of the leftmost maximal L-run (word holds an L).
+
+    A U must close the run; anything else is a broken rewrite.
+    """
     p = word.index("L")
     k = p
     while k < len(word) and word[k] == "L":
         k += 1
+    if k == len(word) or word[k] != "U":
+        raise InternalInvariantError(f"L-run not followed by U in {''.join(word)!r}")
     return p, k - p
 
 
@@ -173,8 +222,6 @@ def _exchange_step(word: list[str], *, virtual_prefix: bool):
     and the run.  Returns None on annihilation, else (sign_exponent, new word).
     """
     p, k = _leftmost_run(word)
-    if p + k >= len(word) or word[p + k] != "U":
-        raise InternalInvariantError(f"L-run not followed by U in {''.join(word)!r}")
     t = p - k
     if t < 0:
         if virtual_prefix:
@@ -191,6 +238,16 @@ def _exchange_step(word: list[str], *, virtual_prefix: bool):
     return exponent, _reduce_and_trim(new)
 
 
+def _plain_step(word: list[str]):
+    """The plain rule: a run reaching past the word annihilates in the U-prefix."""
+    return _exchange_step(word, virtual_prefix=True)
+
+
+def _shifted_step(word: list[str]):
+    """The shifted rule: the run may never reach past the word's left edge."""
+    return _exchange_step(word, virtual_prefix=False)
+
+
 def _q_exchange_step(word: list[str]):
     """One strict-index straightening exchange at the leftmost L-run.
 
@@ -202,8 +259,6 @@ def _q_exchange_step(word: list[str]):
     Returns None on annihilation, else (sign_exponent, new word).
     """
     p, k = _leftmost_run(word)
-    if p + k >= len(word) or word[p + k] != "U":
-        raise InternalInvariantError(f"L-run not followed by U in {''.join(word)!r}")
     q = p - 1
     seen = 0
     while q >= 0:
@@ -223,60 +278,56 @@ def _q_exchange_step(word: list[str]):
     return exponent, _reduce_and_trim(new)
 
 
-def _straighten_letters(letters, step, decode, minimum: int):
-    """Drive ``step`` until no L remains, then check row count, total and minimum.
+def _check_straight(start: Composition, rows: Composition, shift: int, word) -> None:
+    """Check a straightened word once: the row count and total of ``start``
+    and, on the unshifted rows, weakly decreasing with the bottom row >= 0.
 
-    The check runs once, on the final word; verify replays the rules one step
-    at a time.  Returns None on annihilation, else (total sign exponent, final
-    rows).
+    rows[i] - rows[i + 1] >= shift is the unshifted rows weakly decreasing; with
+    the staircase added, a shifted result is then strictly decreasing.
     """
-    word = list(letters)
-    if "L" not in word:
-        return 0, decode(word)  # already straight: no exchange to check
-    start = decode(word)
+    if (
+        len(rows) != len(start)
+        or sum(rows) != sum(start)
+        or any(rows[i] - rows[i + 1] < shift for i in range(len(rows) - 1))
+        or (rows and rows[-1] < shift)
+    ):
+        raise InternalInvariantError(
+            f"straightening broke row count, total or order: {''.join(word)!r}"
+        )
+
+
+def straighten_code_trace(word, step=_plain_step, shift: int = 0):
+    """Drive ``step`` on a word of style ``shift`` until no L remains.
+
+    ``step`` is _plain_step, _shifted_step (with shift 1) or _q_exchange_step.
+    Returns None on annihilation, else (total sign exponent, final rows).  The
+    final word is checked once (``_check_straight``); verify replays the rules
+    one step at a time.
+    """
+    letters = list(_as_word(ShiftedCodeWord if shift else CodeWord, word).letters)
+    start = _decode_letters(letters, shift)
+    if "L" not in letters:
+        return 0, start  # already straight
     total = 0
-    while "L" in word:
-        out = step(word)
+    while "L" in letters:
+        out = step(letters)
         if out is None:
             return None
-        inc, word = out
+        inc, letters = out
         total += inc
-    rows = decode(word)
-    if len(rows) != len(start) or sum(rows) != sum(start):
-        raise InternalInvariantError(
-            f"exchanges changed row count or total: {''.join(word)!r}"
-        )
-    if rows and min(rows) < minimum:
-        raise InternalInvariantError(
-            f"exchanges produced a row below {minimum}: {''.join(word)!r}"
-        )
+    rows = _decode_letters(letters, shift)
+    _check_straight(start, rows, shift, letters)
     return total, rows
 
 
-def straighten_code_trace(word: CodeWord | str):
-    """Straighten a code word; None when zero, else (sign exponent, partition)."""
-    if not isinstance(word, CodeWord):
-        word = CodeWord(word)
-    out = _straighten_letters(
-        word.letters,
-        lambda w: _exchange_step(w, virtual_prefix=True),
-        _decode_letters,
-        0,
-    )
-    if out is None:
-        return None
-    total, rows = out
-    if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
-        raise InternalInvariantError(f"straightened rows not sorted: {rows!r}")
-    return total, rows
+def _signed(out) -> SignedIndexResult:
+    """The result of a ``*_trace`` value: ZERO for None, else the signed rows."""
+    return ZERO if out is None else signed_result(*out)
 
 
 def straighten_code(word: CodeWord | str) -> SignedIndexResult:
     """Straighten a code word into the zero result or a signed partition."""
-    out = straighten_code_trace(word)
-    if out is None:
-        return ZERO
-    return signed_result(*out)
+    return _signed(straighten_code_trace(word))
 
 
 def straighten_B(parts: Composition) -> SignedIndexResult:
@@ -294,16 +345,9 @@ def reading_straighten_trace(word: CodeWord | str):
     while the cursor sits on an R rewrites that R to a U.  Tolerates
     non-reduced words.
     """
-    if isinstance(word, CodeWord):
-        letters = word.letters
-    else:
-        letters = word
-        for ch in letters:
-            if ch not in ALPHABET:
-                raise InvalidCodeError(f"letter {ch!r} is not one of R, L, U")
-    w = list(letters)
-    nrows = w.count("U")
-    total_size = sum(_decode_letters(w))
+    w = list(word.letters if isinstance(word, CodeWord) else word)
+    _check_alphabet(w)
+    start = _decode_letters(w)
     total = 0
     while "L" in w:
         r = w.index("L")
@@ -327,18 +371,10 @@ def reading_straighten_trace(word: CodeWord | str):
             if c == r:
                 break
     rows = _decode_letters(w)
-    if len(rows) != nrows or sum(rows) != total_size:
-        raise InternalInvariantError(f"reading changed row count or total: {rows!r}")
-    if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)) or any(
-        r < 0 for r in rows
-    ):
-        raise InternalInvariantError(f"reading produced unsorted rows: {rows!r}")
+    _check_straight(start, rows, 0, w)
     return total, rows
 
 
 def reading_straighten(word: CodeWord | str) -> SignedIndexResult:
     """Reading-algorithm straightening: same contract as straighten_code."""
-    out = reading_straighten_trace(word)
-    if out is None:
-        return ZERO
-    return signed_result(*out)
+    return _signed(reading_straighten_trace(word))

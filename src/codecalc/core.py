@@ -53,7 +53,7 @@ class SignedIndexResult:
     index: Composition = ()
 
     def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
+        if type(self.sign) is not int or self.sign not in (-1, 0, 1):
             raise DomainError(f"sign must be -1, 0 or +1, got {self.sign!r}")
         if self.sign == 0 and self.index != ():
             raise DomainError("the zero result carries no index")
@@ -122,6 +122,23 @@ def validate_composition(parts: Composition, *, minimum: int = 0) -> Composition
         if p < minimum:
             raise DomainError(f"index entry {p} is below the allowed minimum {minimum}")
     return parts
+
+
+# Largest i_max / n_max a series accepts.  Term i past the stored R's builds
+# and decodes a word of about i letters, so a series costs time quadratic in
+# i_max; larger requests are rejected instead of running on.
+SERIES_MAX = 10_000
+
+
+def check_int(value, name: str, minimum: int | None = None, maximum: int | None = None) -> None:
+    """Raise DomainError unless value is an int (not a bool) in minimum..maximum."""
+    if not isinstance(value, int) or isinstance(value, bool) or (
+        minimum is not None and value < minimum
+    ):
+        floor = "" if minimum is None else f" >= {minimum}"
+        raise DomainError(f"{name} must be an int{floor}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise DomainError(f"{name} must be at most {maximum}, got {value!r}")
 
 
 def is_partition(parts: Composition) -> bool:

@@ -15,8 +15,10 @@ from .core import (
     Composition,
     DomainError,
     InternalInvariantError,
+    SERIES_MAX,
     SignedIndexResult,
     ZERO,
+    check_int,
     is_strict_partition,
     signed_result,
     validate_composition,
@@ -24,8 +26,9 @@ from .core import (
 from .codes import (
     _decode_letters,
     _q_exchange_step,
-    _straighten_letters,
+    _signed,
     encode_code,
+    straighten_code_trace,
 )
 
 
@@ -43,27 +46,12 @@ def straighten_Y_perm(parts) -> SignedIndexResult:
     return signed_result(inversions, tuple(sorted(parts, reverse=True)))
 
 
-def straighten_Y_code_trace(parts):
-    """Code-word route for straighten_Y_perm; None when zero, else (exponent, index)."""
-    parts = validate_composition(parts)
-    word = encode_code(parts).letters
-    out = _straighten_letters(word, _q_exchange_step, _decode_letters, 0)
-    if out is None:
-        return None
-    total, rows = out
-    if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
-        raise InternalInvariantError(f"straightened rows not sorted: {rows!r}")
-    if any(rows[i] == rows[i + 1] for i in range(len(rows) - 1)):
-        return None  # equal adjacent rows annihilate
-    return total, rows
-
-
 def straighten_Y_code(parts) -> SignedIndexResult:
-    """Straighten a strict-side index by code-word rewriting."""
-    out = straighten_Y_code_trace(parts)
-    if out is None:
-        return ZERO
-    return signed_result(*out)
+    """Straighten a strict-side index by code-word rewriting (the Q exchange rule)."""
+    out = straighten_code_trace(encode_code(parts), _q_exchange_step)
+    if out is not None and any(a == b for a, b in zip(out[1], out[1][1:])):
+        return ZERO  # equal adjacent rows annihilate
+    return _signed(out)
 
 
 def _validated_strict(parts) -> Composition:
@@ -81,8 +69,7 @@ def yn_action(n: int, lam) -> SignedIndexResult:
     trailing zero row).
     """
     lam = _validated_strict(lam)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"degree must be an int >= 0, got {n!r}")
+    check_int(n, "degree", 0)
     if not lam or n > lam[0]:
         return signed_result(0, (n,) + lam)
     if n in lam:
@@ -118,8 +105,7 @@ def lambda_bracket(lam, i: int) -> Composition:
     code route against the value insertion (suite qvertex, op bracket_code).
     """
     lam = _validated_strict(lam)
-    if not isinstance(i, int) or isinstance(i, bool) or i < 0:
-        raise DomainError(f"bracket position must be an int >= 0, got {i!r}")
+    check_int(i, "bracket position", 0)
     if i == 0:
         return lam + (0,)
     word = encode_code(lam).letters
@@ -162,8 +148,7 @@ def q_series_j_form(lam, n_max: int) -> list[QSeriesTerm]:
     n_max only, bottom slot reaches down to n = 0); the term's sign is (-1)**j.
     """
     lam = _validated_strict(lam)
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
-        raise DomainError(f"n_max must be an int >= 0, got {n_max!r}")
+    check_int(n_max, "n_max", 0, SERIES_MAX)
     l = len(lam)
     terms: list[QSeriesTerm] = []
     for j in range(l + 1):
@@ -184,8 +169,7 @@ def q_series_i_form(lam, i_max: int) -> list[QSeriesTerm]:
     the insertion slot of n on every call.
     """
     lam = _validated_strict(lam)
-    if not isinstance(i_max, int) or isinstance(i_max, bool) or i_max < 0:
-        raise DomainError(f"i_max must be an int >= 0, got {i_max!r}")
+    check_int(i_max, "i_max", 0, SERIES_MAX)
     l = len(lam)
     base = sum(lam)
     word = encode_code(lam).letters

@@ -94,23 +94,14 @@ def _result_json(result) -> dict:
     return result.to_dict()
 
 
-def _validity(word_type, letters: str):
-    """True when the public constructor accepts letters, else its complaint."""
-    try:
-        word_type(letters)
-    except InvalidCodeError as exc:
-        return str(exc)
-    return True
-
-
-def _replay(letters: str, step, decode, minimum: int):
-    """Run an exchange rule one step at a time, checking each step's word.
+def _replay(letters: str, step, shift: int):
+    """Run an exchange rule on a ``shift``-style word one step at a time.
 
     Every step must keep the row count and the total and leave no row below
-    ``minimum``.  Returns (steps taken, None) or (steps, the first bad step).
+    ``shift``.  Returns (steps taken, None) or (steps, the first bad step).
     """
     word = list(letters)
-    rows = decode(word)
+    rows = codes._decode_letters(word, shift)
     nrows, size = len(rows), sum(rows)
     steps = 0
     while "L" in word:
@@ -119,8 +110,8 @@ def _replay(letters: str, step, decode, minimum: int):
             break
         word = out[1]
         steps += 1
-        rows = decode(word)
-        if len(rows) != nrows or sum(rows) != size or any(r < minimum for r in rows):
+        rows = codes._decode_letters(word, shift)
+        if len(rows) != nrows or sum(rows) != size or any(r < shift for r in rows):
             return steps, {"step": steps, "letters": "".join(word), "rows": list(rows)}
     return steps, None
 
@@ -145,12 +136,27 @@ def _bracket_by_values(lam, i: int):
     return tuple(lam[:j]) + (v,) + tuple(lam[j:])
 
 
-def _plain_step(word):
-    return codes._exchange_step(word, virtual_prefix=True)
+def _check_word(report: VerifyReport, mu, word, cls, decode, rule: str, step) -> int:
+    """Encoder validity, round trip and per-step ``rule`` invariants of the
+    ``cls`` word an encoder built for mu; returns the number of exchange steps."""
+    letters = word.letters
+    try:
+        cls(letters)  # the public constructor must accept the encoder's letters
+        valid = True
+    except InvalidCodeError as exc:
+        valid = str(exc)
+    report.check({"op": "encode_valid", "index": list(mu)}, True, valid)
+    report.check({"op": "round_trip", "index": list(mu)}, list(mu), list(decode(word)))
+    return _check_steps(report, mu, letters, rule, step, cls.shift)
 
 
-def _shifted_step(word):
-    return shifted._exchange_step(word, virtual_prefix=False)
+def _check_steps(report: VerifyReport, mu, letters: str, rule: str, step, shift: int) -> int:
+    """Replay ``step`` on letters, checking every step's word (op step_invariants)."""
+    if "L" not in letters:
+        return 0
+    steps, bad = _replay(letters, step, shift)
+    report.check({"op": "step_invariants", "rule": rule, "index": list(mu)}, None, bad)
+    return steps
 
 
 def verify_codes(
@@ -164,23 +170,10 @@ def verify_codes(
         with report.guard({"index": list(mu)}):
             word = codes.encode_code(mu)
             letters = word.letters
-            report.check(
-                {"op": "encode_valid", "index": list(mu)},
-                True,
-                _validity(codes.CodeWord, letters),
-            )
-            report.check(
-                {"op": "round_trip", "index": list(mu)},
-                list(mu),
-                list(codes.decode_code(word)),
+            steps = _check_word(
+                report, mu, word, codes.CodeWord, codes.decode_code, "plain", codes._plain_step
             )
             if "L" in letters:
-                steps, bad = _replay(letters, _plain_step, codes._decode_letters, 0)
-                report.check(
-                    {"op": "step_invariants", "rule": "plain", "index": list(mu)},
-                    None,
-                    bad,
-                )
                 # exchange-step count is bounded by the U's right of the leftmost L
                 bound = letters[letters.index("L") :].count("U")
                 report.check(
@@ -324,12 +317,7 @@ def verify_qvertex(
     for mu in compositions(max_part, max_len, min_part):
         with report.guard({"index": list(mu)}):
             letters = codes.encode_code(mu).letters
-            if "L" in letters:
-                report.check(
-                    {"op": "step_invariants", "rule": "q", "index": list(mu)},
-                    None,
-                    _replay(letters, qvertex._q_exchange_step, codes._decode_letters, 0)[1],
-                )
+            _check_steps(report, mu, letters, "q", codes._q_exchange_step, 0)
             report.check(
                 {"op": "straighten_Y", "index": list(mu)},
                 _result_json(qvertex.straighten_Y_perm(mu)),
@@ -396,28 +384,20 @@ def verify_shifted(max_part: int = 4, max_len: int = 3, i_max: int = 10) -> Veri
     for mu in compositions(max_part, max_len, 1):
         with report.guard({"index": list(mu)}):
             word = shifted.encode_shifted(mu)
-            letters = word.letters
-            report.check(
-                {"op": "encode_valid", "index": list(mu)},
-                True,
-                _validity(shifted.ShiftedCodeWord, letters),
-            )
-            report.check(
-                {"op": "round_trip", "index": list(mu)},
-                list(mu),
-                list(shifted.decode_shifted(word)),
+            _check_word(
+                report,
+                mu,
+                word,
+                shifted.ShiftedCodeWord,
+                shifted.decode_shifted,
+                "shifted",
+                codes._shifted_step,
             )
             report.check(
                 {"op": "preshift", "index": list(mu)},
-                letters,
+                word.letters,
                 shifted.preshift(codes.encode_code(mu)).strip_prefix().letters,
             )
-            if "L" in letters:
-                report.check(
-                    {"op": "step_invariants", "rule": "shifted", "index": list(mu)},
-                    None,
-                    _replay(letters, _shifted_step, shifted._decode_shifted_letters, 1)[1],
-                )
             report.check(
                 {"op": "shifted_straighten", "index": list(mu)},
                 _result_json(qvertex.straighten_Y_perm(mu)),

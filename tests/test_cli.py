@@ -113,6 +113,17 @@ def test_domain_errors_exit_1(capsys):
     assert _run(capsys, "straighten", "--algebra", "b", "1,x")[0] == 1
 
 
+@pytest.mark.parametrize(
+    "algebra,window", [("b", "--i-max"), ("b", "--n-max"), ("q", "--i-max"), ("q", "--n-max")]
+)
+def test_series_beyond_the_cap_is_an_error(capsys, algebra, window):
+    code, out, err = _run(
+        capsys, "series", "--algebra", algebra, "--index", "1", window, "100000000"
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: {window[2:].replace('-', '_')} must be at most 10000, got 100000000\n"
+
+
 def test_method_all_skips_shifted_on_zero_rows(capsys):
     code, out, _ = _run(capsys, "straighten", "--algebra", "q", "--method", "all", "0,2")
     assert code == 0 and out == "-1 * Q[2,0]\n"
@@ -189,11 +200,11 @@ def test_corpus_failure_reporting(tmp_path, capsys):
 
 
 def test_verify_missing_corpus_file_is_an_error(tmp_path, capsys):
-    code, out, err = _run(
-        capsys, "verify", "--suite", "corpus", "--file", str(tmp_path / "missing.jsonl")
-    )
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and "missing.jsonl" in err
+    missing = str(tmp_path / "missing.jsonl")
+    for suite in (("--suite", "corpus"), ()):  # () runs every suite, the corpus last
+        code, out, err = _run(capsys, "verify", *suite, "--file", missing)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "missing.jsonl" in err
 
 
 def test_verify_unwritable_output_is_an_error(tmp_path, capsys):

@@ -33,6 +33,8 @@ def test_signed_result_rejects_bad_values():
 def test_signed_result_rejects_bool_entries():
     with pytest.raises(core.DomainError):
         core.SignedIndexResult(1, (True, 2))
+    with pytest.raises(core.DomainError):
+        core.SignedIndexResult(True, (1,))  # a bool sign
 
 
 def test_signed_result_helper_parity():

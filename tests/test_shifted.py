@@ -136,3 +136,28 @@ def test_lambda_bracket_shifted_matches_value_route():
 def test_lambda_bracket_shifted_rejects_zero_position():
     with pytest.raises(DomainError):
         shifted.lambda_bracket_shifted((3, 1), 0)
+
+
+def _outcome(fn, arg):
+    try:
+        return fn(arg)
+    except InvalidCodeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "fn,other,letters",
+    [
+        (codes.decode_code, shifted.ShiftedCodeWord, "RRULU"),
+        (codes.straighten_code, shifted.ShiftedCodeWord, "RRULU"),
+        (codes.decode_code, shifted.ShiftedCodeWord, "ULU"),  # negative as a plain word
+        (codes.straighten_code, shifted.ShiftedCodeWord, "ULU"),
+        (shifted.decode_shifted, codes.CodeWord, "RRULU"),
+        (shifted.shifted_straighten, codes.CodeWord, "RRULU"),
+        (shifted.decode_shifted, shifted.PreshiftedWord, "RRULU"),
+    ],
+)
+def test_word_of_another_style_is_taken_as_its_letters(fn, other, letters):
+    # the two styles read "RRULU" as different indexes
+    assert codes.decode_code("RRULU") == (1, 2) and shifted.decode_shifted("RRULU") == (3, 3)
+    assert _outcome(fn, other(letters)) == _outcome(fn, letters)

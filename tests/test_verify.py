@@ -23,8 +23,8 @@ def _wrong_bracket(real):
 
 
 def _extra_row(real):
-    def step(word, **kwargs):
-        out = real(word, **kwargs)
+    def step(word):
+        out = real(word)
         return out if out is None else (out[0], out[1] + ["U"])
 
     return step
@@ -39,9 +39,9 @@ BROKEN_ROUTES = [
     (bernstein, "_replace_ith_r", _shift_i, verify.verify_bernstein, "sup_code"),
     (qvertex, "_bracket_by_code", _wrong_bracket, verify.verify_qvertex, "bracket_code"),
     (shifted, "_replace_ith_r", _shift_i, verify.verify_shifted, "bracket_shifted"),
-    (codes, "_exchange_step", _extra_row, verify.verify_codes, "step_invariants"),
-    (qvertex, "_q_exchange_step", _extra_row, verify.verify_qvertex, "step_invariants"),
-    (shifted, "_exchange_step", _extra_row, verify.verify_shifted, "step_invariants"),
+    (codes, "_plain_step", _extra_row, verify.verify_codes, "step_invariants"),
+    (codes, "_q_exchange_step", _extra_row, verify.verify_qvertex, "step_invariants"),
+    (codes, "_shifted_step", _extra_row, verify.verify_shifted, "step_invariants"),
     (
         codes,
         "encode_code",
@@ -84,9 +84,7 @@ def test_guard_records_errors_as_failures(monkeypatch):
 
 def test_replay_reports_first_bad_step():
     letters = codes.encode_code((1, 3, 1, 6, 2)).letters
-    steps, bad = verify._replay(
-        letters, _extra_row(verify._plain_step), codes._decode_letters, 0
-    )
+    steps, bad = verify._replay(letters, _extra_row(codes._plain_step), 0)
     assert steps == 1 and bad["step"] == 1
 
 
