@@ -68,7 +68,6 @@ from .oracle import (
     staircase,
     vandermonde_product,
 )
-from .verify import SUITES, VerifyReport
 
 __version__ = "0.1.0"
 
@@ -124,3 +123,10 @@ __all__ = [
     "vandermonde_product",
     "yn_action",
 ]
+
+
+def __getattr__(name):  # verify is imported on first use, so a CLI start skips it
+    if name not in ("SUITES", "VerifyReport"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import verify
+    return getattr(verify, name)

@@ -11,18 +11,20 @@ import argparse
 import os
 import sys
 
-from . import bernstein, codes, oracle, qvertex, shifted
+from . import ops
 from .core import (
     DomainError,
     InternalInvariantError,
     InvalidCodeError,
     ParseError,
-    SignedIndexResult,
     canonical_json,
+    check_int,
     parse_index,
     render_index,
 )
-from .verify import SUITES, verify_corpus
+
+# verify.SUITES' names, spelled out so that a CLI start does not import verify
+_SUITES = ("codes", "bernstein", "qvertex", "shifted", "oracle", "corpus")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,50 +43,53 @@ def _resolve_format(args) -> str:
     return "text"
 
 
-def _family_letter(algebra: str) -> str:
-    return "B" if algebra == "b" else "Q"
+def _signed(negative, power: str, letter: str, index) -> str:
+    return f"{'-' if negative else '+'}{power} * {letter}[{render_index(index)}]\n"
 
 
-def _print_result(result: SignedIndexResult, algebra: str, fmt: str) -> None:
-    if fmt == "json":
-        print(canonical_json(result.to_dict()))
-    elif result.is_zero:
-        print("0")
-    else:
-        sign = "+" if result.sign > 0 else "-"
-        print(f"{sign}1 * {_family_letter(algebra)}[{render_index(result.index)}]")
+def _text(result: dict, letter: str) -> str:
+    """Plain-text rendering of an op's JSON result; letter names the family."""
+    if "terms" in result:
+        return "".join(
+            _signed(t["sign_exp"] % 2, f"t^{t['t_exp']}", letter, t["index"])
+            for t in result["terms"]
+        )
+    if "zero" in result:
+        return "0\n"
+    if "sign" in result:
+        return _signed(result["sign"] < 0, "1", letter, result["index"])
+    if "letters" in result:
+        return result["letters"] + "\n"
+    return render_index(result["index"]) + "\n"
 
 
-def _cmd_code(args) -> int:
-    fmt = _resolve_format(args)
-    if args.decode is not None:
-        decode = shifted.decode_shifted if args.shifted else codes.decode_code
-        parts = decode(args.decode)
-        print(canonical_json({"index": list(parts)}) if fmt == "json" else render_index(parts))
-    else:
-        encode = shifted.encode_shifted if args.shifted else codes.encode_code
-        word = encode(parse_index(args.index))
-        print(canonical_json({"letters": word.letters}) if fmt == "json" else word.letters)
+def _print(args, result: dict, letter: str = "") -> int:
+    text = _text(result, letter) if args.format == "text" else canonical_json(result) + "\n"
+    sys.stdout.write(text)
     return 0
 
 
-_B_METHODS = {
-    "code": lambda mu: codes.straighten_B(mu),
-    "reading": lambda mu: codes.reading_straighten(codes.encode_code(mu)),
-    "oracle": lambda mu: oracle.exponent_straighten(mu),
-}
+def _cmd_code(args) -> int:
+    style = "shifted" if args.shifted else "code"
+    if args.letters is not None:
+        return _print(args, ops.run(f"decode_{style}", vars(args)))
+    return _print(args, ops.run(f"encode_{style}", {"index": parse_index(args.index)}))
 
-_Q_METHODS = {
-    "code": lambda mu: qvertex.straighten_Y_code(mu),
-    "perm": lambda mu: qvertex.straighten_Y_perm(mu),
-    "shifted": lambda mu: shifted.shifted_straighten(shifted.encode_shifted(mu)),
+
+# (--algebra, --method) -> (op, the encoder op whose letters it takes, or None)
+_METHODS = {
+    ("b", "code"): ("straighten_B", None),
+    ("b", "reading"): ("reading_straighten", "encode_code"),
+    ("b", "oracle"): ("exponent_straighten", None),
+    ("q", "code"): ("straighten_Y_code", None),
+    ("q", "perm"): ("straighten_Y_perm", None),
+    ("q", "shifted"): ("shifted_straighten", "encode_shifted"),
 }
 
 
 def _cmd_straighten(args) -> int:
-    fmt = _resolve_format(args)
     mu = parse_index(args.index)
-    methods = _B_METHODS if args.algebra == "b" else _Q_METHODS
+    methods = {m: route for (algebra, m), route in _METHODS.items() if algebra == args.algebra}
     if args.method == "all":
         chosen = dict(methods)
         if args.algebra == "q" and any(p < 1 for p in mu):
@@ -95,52 +100,40 @@ def _cmd_straighten(args) -> int:
         raise ParseError(
             f"method {args.method!r} is not available with --algebra {args.algebra}"
         )
-    results = {name: fn(mu) for name, fn in chosen.items()}
+    results = {}
+    for name, (op, encoder) in chosen.items():
+        op_args = ops.run(encoder, {"index": mu}) if encoder else {"index": mu}
+        results[name] = ops.run(op, op_args)
     values = list(results.values())
     if any(v != values[0] for v in values[1:]):
         raise InternalInvariantError(f"straightening methods disagree: {results!r}")
-    _print_result(values[0], args.algebra, fmt)
-    return 0
+    return _print(args, values[0], args.algebra.upper())
 
 
 def _cmd_act(args) -> int:
-    fmt = _resolve_format(args)
-    lam = parse_index(args.index)
-    action = bernstein.bn_action if args.algebra == "b" else qvertex.yn_action
-    _print_result(action(args.n, lam), args.algebra, fmt)
-    return 0
+    args.index = parse_index(args.index)
+    op = "bn_action" if args.algebra == "b" else "yn_action"
+    return _print(args, ops.run(op, vars(args)), args.algebra.upper())
 
 
 def _cmd_series(args) -> int:
-    fmt = _resolve_format(args)
-    lam = parse_index(args.index)
+    args.index = parse_index(args.index)
     if (args.i_max is None) == (args.n_max is None):
         raise ParseError("series needs exactly one of --i-max or --n-max")
     if args.algebra == "b":
-        if args.i_max is not None:
-            terms = bernstein.bernstein_series(lam, args.i_max)
-        else:
-            terms = bernstein.bernstein_series_window(lam, args.n_max)
+        op = "bernstein_series" if args.n_max is None else "bernstein_series_window"
     else:
-        if args.i_max is not None:
-            terms = qvertex.q_series_i_form(lam, args.i_max)
-        else:
-            terms = qvertex.q_series_j_form(lam, args.n_max)
-    if fmt == "json":
-        print(canonical_json({"terms": [t.to_dict() for t in terms]}))
-    else:
-        letter = _family_letter(args.algebra)
-        for t in terms:
-            sign = "+" if t.sign > 0 else "-"
-            print(f"{sign}t^{t.t_exp} * {letter}[{render_index(t.index)}]")
-    return 0
+        op = "q_series_i_form" if args.n_max is None else "q_series_j_form"
+    return _print(args, ops.run(op, vars(args)), args.algebra.upper())
 
 
 def _cmd_verify(args) -> int:
-    fmt = _resolve_format(args)
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    from . import verify  # imported here so that other commands start without it
+    for name, top in verify.RANGE_MAX.items():
+        check_int(getattr(args, name), name, 0, top)
+    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     # the corpus suite runs first, so an unreadable file ends the run before any output
-    corpus = verify_corpus(args.file) if "corpus" in names else None
+    corpus = verify.verify_corpus(args.file) if "corpus" in names else None
     out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
     try:
         all_ok = True
@@ -148,13 +141,13 @@ def _cmd_verify(args) -> int:
             if name == "corpus":
                 report = corpus
             elif name == "qvertex":
-                report = SUITES[name](args.max_part, args.max_len, window_pad=args.n_max)
+                report = verify.SUITES[name](args.max_part, args.max_len, window_pad=args.n_max)
             elif name == "shifted":
-                report = SUITES[name](args.max_part, args.max_len, args.i_max)
+                report = verify.SUITES[name](args.max_part, args.max_len, args.i_max)
             else:
-                report = SUITES[name](args.max_part, args.max_len)
+                report = verify.SUITES[name](args.max_part, args.max_len)
             all_ok = all_ok and report.ok
-            if fmt == "json":
+            if args.format == "json":
                 print(
                     canonical_json(
                         {
@@ -188,7 +181,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("code", parents=[], help="encode an index or decode a word")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--index", help="index to encode, e.g. 4,2,2,1")
-    group.add_argument("--decode", help="letter word to decode, e.g. RURUURRU")
+    group.add_argument(
+        "--decode", dest="letters", metavar="DECODE", help="letter word to decode, e.g. RURUURRU"
+    )
     p.add_argument("--shifted", action="store_true", help="use shifted codes")
     add_format(p)
     p.set_defaults(handler=_cmd_code)
@@ -222,7 +217,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run verification sweeps")
     p.add_argument(
         "--suite",
-        choices=tuple(SUITES) + ("all",),
+        choices=_SUITES + ("all",),
         default="all",
     )
     p.add_argument("--max-part", type=int, default=4)
@@ -240,6 +235,7 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        args.format = _resolve_format(args)
         return args.handler(args)
     except (ParseError, DomainError, InvalidCodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,7 @@
 Each suite enumerates its inputs in a fixed order (randomised checks use a
 fixed seed), records mismatches as JSON-ready failure dicts, and returns a
 VerifyReport.  The corpus suite replays a JSON-lines file of worked examples
-through the same operations the CLI exposes.
+through the op table the CLI runs too (``ops.run``).
 
 The public operations compute each answer once, by the code route; this
 module is where the independent routes are compared with it.  Besides the
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from itertools import combinations, combinations_with_replacement, product
 
-from . import bernstein, codes, oracle, qvertex, shifted
+from . import bernstein, codes, ops, oracle, qvertex, shifted
 from .core import (
     CalcError,
     DomainError,
@@ -34,7 +34,6 @@ from .core import (
     canonical_json,
     classify,
     negate,
-    parse_index,
 )
 
 
@@ -88,10 +87,6 @@ def strict_partitions(max_part: int, max_len: int):
     """Every strictly decreasing tuple of length <= max_len with entries in 1..max_part."""
     for length in range(min(max_len, max_part) + 1):
         yield from combinations(range(max_part, 0, -1), length)
-
-
-def _result_json(result) -> dict:
-    return result.to_dict()
 
 
 def _replay(letters: str, step, shift: int):
@@ -181,16 +176,16 @@ def verify_codes(
                     True,
                     steps <= bound,
                 )
-            expected = _result_json(oracle.exponent_straighten(mu))
+            expected = oracle.exponent_straighten(mu).to_dict()
             report.check(
                 {"op": "straighten_code", "index": list(mu)},
                 expected,
-                _result_json(codes.straighten_code(word)),
+                codes.straighten_code(word).to_dict(),
             )
             report.check(
                 {"op": "reading_straighten", "index": list(mu)},
                 expected,
-                _result_json(codes.reading_straighten(word)),
+                codes.reading_straighten(word).to_dict(),
             )
     rng = random.Random(seed)
     for case in range(samples):
@@ -230,8 +225,8 @@ def verify_codes(
         with report.guard({"op": "reading_raw", "case": case, "letters": raw}):
             report.check(
                 {"op": "reading_raw", "case": case, "letters": raw},
-                _result_json(oracle.exponent_straighten(mu)),
-                _result_json(codes.reading_straighten(raw)),
+                oracle.exponent_straighten(mu).to_dict(),
+                codes.reading_straighten(raw).to_dict(),
             )
     report.seconds = time.perf_counter() - start
     return report
@@ -289,7 +284,7 @@ def _check_bernstein(report: VerifyReport, lam, max_part: int, max_len: int) -> 
         term = by_exp.get(n)
         report.check(
             {"op": "series_action", "index": list(lam), "n": n},
-            _result_json(result),
+            result.to_dict(),
             {"zero": True}
             if term is None
             else {"sign": term.sign, "index": list(term.index)},
@@ -297,8 +292,8 @@ def _check_bernstein(report: VerifyReport, lam, max_part: int, max_len: int) -> 
         if n >= 0:
             report.check(
                 {"op": "action_straighten", "index": list(lam), "n": n},
-                _result_json(codes.straighten_B((n,) + lam)),
-                _result_json(result),
+                codes.straighten_B((n,) + lam).to_dict(),
+                result.to_dict(),
             )
     report.check(
         {"op": "window_exponents", "index": list(lam)},
@@ -320,16 +315,16 @@ def verify_qvertex(
             _check_steps(report, mu, letters, "q", codes._q_exchange_step, 0)
             report.check(
                 {"op": "straighten_Y", "index": list(mu)},
-                _result_json(qvertex.straighten_Y_perm(mu)),
-                _result_json(qvertex.straighten_Y_code(mu)),
+                qvertex.straighten_Y_perm(mu).to_dict(),
+                qvertex.straighten_Y_code(mu).to_dict(),
             )
     for m in range(max_part + 1):
         for n in range(max_part + 1):
             if m != n:
                 report.check(
                     {"op": "anticommute", "index": [m, n]},
-                    _result_json(negate(qvertex.straighten_Y_perm((n, m)))),
-                    _result_json(qvertex.straighten_Y_perm((m, n))),
+                    negate(qvertex.straighten_Y_perm((n, m))).to_dict(),
+                    qvertex.straighten_Y_perm((m, n)).to_dict(),
                 )
     for lam in strict_partitions(max_part, max_len):
         with report.guard({"index": list(lam)}):
@@ -357,8 +352,8 @@ def _check_qvertex(report: VerifyReport, lam, max_part: int, window_pad: int) ->
         )
         report.check(
             {"op": "yn_straighten", "index": list(lam), "n": n},
-            _result_json(qvertex.straighten_Y_perm((n,) + lam)),
-            _result_json(result),
+            qvertex.straighten_Y_perm((n,) + lam).to_dict(),
+            result.to_dict(),
         )
     j_terms = qvertex.q_series_j_form(lam, n_max)
     i_terms = qvertex.q_series_i_form(lam, i_max)
@@ -400,8 +395,8 @@ def verify_shifted(max_part: int = 4, max_len: int = 3, i_max: int = 10) -> Veri
             )
             report.check(
                 {"op": "shifted_straighten", "index": list(mu)},
-                _result_json(qvertex.straighten_Y_perm(mu)),
-                _result_json(shifted.shifted_straighten(word)),
+                qvertex.straighten_Y_perm(mu).to_dict(),
+                shifted.shifted_straighten(word).to_dict(),
             )
     for lam in strict_partitions(max_part, max_len):
         if not lam:
@@ -451,8 +446,8 @@ def verify_oracle(max_part: int = 3, max_len: int = 3, seed: int = 0) -> VerifyR
         with report.guard({"op": "exponent_vs_code", "index": list(mu)}):
             report.check(
                 {"op": "exponent_vs_code", "index": list(mu)},
-                _result_json(codes.straighten_B(mu)),
-                _result_json(result),
+                codes.straighten_B(mu).to_dict(),
+                result.to_dict(),
             )
         if not mu:
             continue
@@ -470,60 +465,6 @@ def verify_oracle(max_part: int = 3, max_len: int = 3, seed: int = 0) -> VerifyR
             )
     report.seconds = time.perf_counter() - start
     return report
-
-
-_CORPUS_OPS = {
-    "parse_index": lambda a: {"index": list(parse_index(a["text"]))},
-    "classify": lambda a: {"kind": classify(tuple(a["index"]))},
-    "reduce_word": lambda a: {"letters": codes.reduce_word(a["letters"])},
-    "encode_code": lambda a: {"letters": codes.encode_code(tuple(a["index"])).letters},
-    "decode_code": lambda a: {"index": list(codes.decode_code(a["letters"]))},
-    "straighten_code": lambda a: codes.straighten_code(a["letters"]).to_dict(),
-    "reading_straighten": lambda a: codes.reading_straighten(a["letters"]).to_dict(),
-    "straighten_B": lambda a: codes.straighten_B(tuple(a["index"])).to_dict(),
-    "exponent_straighten": lambda a: oracle.exponent_straighten(
-        tuple(a["index"])
-    ).to_dict(),
-    "bn_action": lambda a: bernstein.bn_action(a["n"], tuple(a["index"])).to_dict(),
-    "lambda_sup": lambda a: {
-        "index": list(bernstein.lambda_sup(tuple(a["index"]), a["i"]))
-    },
-    "r_index": lambda a: {"value": bernstein.r_index(tuple(a["index"]), a["i"])},
-    "bernstein_series": lambda a: {
-        "terms": [t.to_dict() for t in bernstein.bernstein_series(tuple(a["index"]), a["i_max"])]
-    },
-    "bernstein_series_window": lambda a: {
-        "terms": [
-            t.to_dict()
-            for t in bernstein.bernstein_series_window(tuple(a["index"]), a["n_max"])
-        ]
-    },
-    "straighten_Y_perm": lambda a: qvertex.straighten_Y_perm(tuple(a["index"])).to_dict(),
-    "straighten_Y_code": lambda a: qvertex.straighten_Y_code(tuple(a["index"])).to_dict(),
-    "yn_action": lambda a: qvertex.yn_action(a["n"], tuple(a["index"])).to_dict(),
-    "lambda_bracket": lambda a: {
-        "index": list(qvertex.lambda_bracket(tuple(a["index"]), a["i"]))
-    },
-    "q_series_j_form": lambda a: {
-        "terms": [t.to_dict() for t in qvertex.q_series_j_form(tuple(a["index"]), a["n_max"])]
-    },
-    "q_series_i_form": lambda a: {
-        "terms": [t.to_dict() for t in qvertex.q_series_i_form(tuple(a["index"]), a["i_max"])]
-    },
-    "encode_shifted": lambda a: {
-        "letters": shifted.encode_shifted(tuple(a["index"])).letters
-    },
-    "decode_shifted": lambda a: {"index": list(shifted.decode_shifted(a["letters"]))},
-    "shifted_straighten": lambda a: shifted.shifted_straighten(a["letters"]).to_dict(),
-    "preshift": lambda a: {"letters": shifted.preshift(a["letters"]).letters},
-    "lambda_bracket_shifted": lambda a: {
-        "index": list(shifted.lambda_bracket_shifted(tuple(a["index"]), a["i"]))
-    },
-    "schur_poly": lambda a: {
-        "poly": oracle.schur_poly(tuple(a["index"]), a["nvars"]).render()
-    },
-    "bialternant": lambda a: {"poly": oracle.bialternant(tuple(a["exponents"])).render()},
-}
 
 
 def corpus_lines(path: str | None = None) -> list[str]:
@@ -580,35 +521,23 @@ def verify_corpus(path: str | None = None) -> VerifyReport:
             )
             continue
         op, args, expected = parsed
-        handler = _CORPUS_OPS.get(op)
-        if handler is None:
+        if op not in ops.OPS:
             report.fail({"line": lineno, "op": op}, "known op", "unknown op")
             continue
+        where = {"line": lineno, "op": op, "args": args}
         try:
-            got = handler(args)
+            got = ops.run(op, args)
         except CalcError as exc:
-            report.fail(
-                {"line": lineno, "op": op, "args": args},
-                expected,
-                f"{type(exc).__name__}: {exc}",
-            )
+            report.fail(where, expected, f"{type(exc).__name__}: {exc}")
             continue
         except (AttributeError, KeyError, TypeError) as exc:
-            report.fail(
-                {"line": lineno, "op": op, "args": args},
-                f"args that {op} takes",
-                f"{type(exc).__name__}: {exc}",
-            )
+            report.fail(where, f"args that {op} takes", f"{type(exc).__name__}: {exc}")
             continue
         emitted = canonical_json(got)
         if emitted != canonical_json(expected):
-            report.fail({"line": lineno, "op": op, "args": args}, expected, got)
+            report.fail(where, expected, got)
         elif canonical_json(json.loads(emitted)) != emitted:
-            report.fail(
-                {"line": lineno, "op": op, "args": args},
-                "byte-identical round trip",
-                emitted,
-            )
+            report.fail(where, "byte-identical round trip", emitted)
     report.seconds = time.perf_counter() - start
     return report
 
@@ -621,3 +550,8 @@ SUITES = {
     "oracle": verify_oracle,
     "corpus": verify_corpus,
 }
+
+# Largest ranges ``codecalc verify`` accepts.  Oracle time grows factorially in
+# max_len, bracket checks quadratically in i_max and n_max; at this corner the
+# qvertex, oracle and shifted suites take 11-19 s each on a 2-CPU x86 host.
+RANGE_MAX = {"max_part": 8, "max_len": 4, "i_max": 1000, "n_max": 1000}

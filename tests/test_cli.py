@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from codecalc import cli, verify
 from codecalc.cli import main
 from codecalc.core import canonical_json
 
@@ -41,6 +43,7 @@ GOLDEN_TEXT = [
         ("series", "--algebra", "b", "--index", "1", "--i-max", "3"),
         "-t^-1 * B[0,0]\n+t^1 * B[1,1]\n+t^2 * B[2,1]\n",
     ),
+    (("series", "--algebra", "b", "--index", "3", "--n-max", "-2"), ""),
 ]
 
 
@@ -207,6 +210,32 @@ def test_verify_missing_corpus_file_is_an_error(tmp_path, capsys):
         assert err.startswith("error:") and "missing.jsonl" in err
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--max-part", "-1", "max_part must be an int >= 0, got -1"),
+        ("--max-len", "30", "max_len must be at most 4, got 30"),
+        ("--n-max", "20000", "n_max must be at most 1000, got 20000"),
+    ],
+)
+def test_verify_range_beyond_its_bound_is_an_error(capsys, flag, value, message):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "verify", flag, value)
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_verify_accepts_its_largest_ranges(capsys):
+    argv = "verify --suite corpus --max-part 8 --max-len 4 --i-max 1000 --n-max 1000"
+    code, out, err = _run(capsys, *argv.split())
+    assert code == 0 and err == "" and "failures=0" in out
+
+
+def test_suite_choices_match_the_verify_suites():
+    assert cli._SUITES == tuple(verify.SUITES)
+
+
 def test_verify_unwritable_output_is_an_error(tmp_path, capsys):
     code, out, err = _run(
         capsys, "verify", "--suite", "corpus", "--output", str(tmp_path / "no_dir" / "x")
@@ -245,3 +274,14 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "+1 * B[3,3,3,2,2]\n"
+
+
+def test_cli_start_does_not_import_verify():
+    script = (
+        "import sys, codecalc.cli; "
+        "codecalc.cli.main(['straighten', '--algebra', 'b', '1,3']); "
+        "print('codecalc.verify' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == "-1 * B[2,2]\nFalse\n"
