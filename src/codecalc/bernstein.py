@@ -71,7 +71,7 @@ def lambda_sup(lam, i: int) -> Composition:
     """
     lam = _validated_partition(lam)
     check_int(i, "sup-index position", 1)
-    return _decode_letters(_replace_ith_r(encode_code(lam).letters, i))
+    return _replace_ith_r(encode_code(lam).letters, i)
 
 
 def r_index(lam, i: int) -> int:
@@ -120,7 +120,7 @@ def _series(lam: Composition, i_max: int) -> list[SeriesTerm]:
     base = sum(lam)
     terms: list[SeriesTerm] = []
     for i in range(1, i_max + 1):
-        index = _decode_letters(_replace_ith_r(word, i))
+        index = _replace_ith_r(word, i)
         t_exp = sum(index) - base
         sign_exp = i - 1 - t_exp
         if sign_exp < 0:

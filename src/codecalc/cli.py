@@ -8,7 +8,9 @@ CODECALC_FORMAT environment variable) switches to canonical one-line JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
+import re
 import sys
 
 from . import ops
@@ -30,6 +32,19 @@ _SUITES = ("codes", "bernstein", "qvertex", "shifted", "oracle", "corpus")
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems must exit 1, not argparse's 2
         raise ParseError(message)
+
+
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _int(text: str) -> int:
+    """An integer flag's value: ASCII -?[0-9]+ only, the grammar of parse_index."""
+    if not _INT.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names the type in "invalid int value: ..."
 
 
 def _resolve_format(args) -> str:
@@ -171,6 +186,10 @@ def _cmd_verify(args) -> int:
             out.close()
 
 
+# Built on first use and shared by every main() in the process: parse_args fills
+# a new Namespace each call, and help and usage errors read the terminal width
+# and sys.stdout/sys.stderr when they print.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="codecalc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -201,7 +220,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("act", help="apply one degree-n operator to an index")
     p.add_argument("--algebra", choices=("b", "q"), required=True)
-    p.add_argument("-n", "--degree", dest="n", type=int, required=True)
+    p.add_argument("-n", "--degree", dest="n", type=_int, required=True)
     p.add_argument("--index", default="", help="index acted on (default: empty)")
     add_format(p)
     p.set_defaults(handler=_cmd_act)
@@ -209,8 +228,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("series", help="expand an operator series on an index")
     p.add_argument("--algebra", choices=("b", "q"), required=True)
     p.add_argument("--index", default="", help="index expanded on (default: empty)")
-    p.add_argument("--i-max", type=int, default=None, help="enumerate terms i <= i-max")
-    p.add_argument("--n-max", type=int, default=None, help="enumerate t-exponents <= n-max")
+    p.add_argument("--i-max", type=_int, default=None, help="enumerate terms i <= i-max")
+    p.add_argument("--n-max", type=_int, default=None, help="enumerate t-exponents <= n-max")
     add_format(p)
     p.set_defaults(handler=_cmd_series)
 
@@ -220,10 +239,10 @@ def _build_parser() -> _Parser:
         choices=_SUITES + ("all",),
         default="all",
     )
-    p.add_argument("--max-part", type=int, default=4)
-    p.add_argument("--max-len", type=int, default=3)
-    p.add_argument("--i-max", type=int, default=10)
-    p.add_argument("--n-max", type=int, default=5)
+    p.add_argument("--max-part", type=_int, default=4)
+    p.add_argument("--max-len", type=_int, default=3)
+    p.add_argument("--i-max", type=_int, default=10)
+    p.add_argument("--n-max", type=_int, default=5)
     p.add_argument("--file", default=None, help="corpus file to replay (default: shipped)")
     p.add_argument("--output", default="-", help="failure JSONL destination (default: stdout)")
     add_format(p)

@@ -180,14 +180,25 @@ def decode_code(word: CodeWord | str) -> Composition:
     return _decode(CodeWord, word)
 
 
-def _replace_ith_r(word: str, i: int) -> str:
-    """Turn the i-th R (from the left, counting into the R-tail) into a U."""
+def _rows_with_top(word: str, k: int, shift: int = 0) -> Composition:
+    """Rows of ``word`` + R**k + U without building it: the word's rows under
+    one new top row, k columns right of the position the word ends at."""
+    end = shift + word.count("R") - word.count("L") + shift * word.count("U")
+    return (end + k,) + _decode_letters(word, shift)
+
+
+def _replace_ith_r(word: str, i: int, shift: int = 0) -> Composition:
+    """Rows of ``word`` (of style ``shift``) with its i-th R turned into a U.
+
+    R's are counted from the left, into the R-tail past the stored word; a
+    tail R costs no more than a stored one (``_rows_with_top``).
+    """
     idx = -1
     for count in range(i):
         idx = word.find("R", idx + 1)
         if idx < 0:
-            return word + "R" * (i - count - 1) + "U"
-    return word[:idx] + "U" + word[idx + 1 :]
+            return _rows_with_top(word, i - count - 1, shift)
+    return _decode_letters(word[:idx] + "U" + word[idx + 1 :], shift)
 
 
 def _reduce_and_trim(seq) -> list[str]:

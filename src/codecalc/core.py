@@ -124,9 +124,9 @@ def validate_composition(parts: Composition, *, minimum: int = 0) -> Composition
     return parts
 
 
-# Largest i_max / n_max a series accepts.  Term i past the stored R's builds
-# and decodes a word of about i letters, so a series costs time quadratic in
-# i_max; larger requests are rejected instead of running on.
+# Largest i_max / n_max a series accepts.  Each term costs time linear in the
+# code word, whatever i is, so the cap bounds the size of the answer: a series
+# has at most SERIES_MAX + 1 terms.
 SERIES_MAX = 10_000
 
 

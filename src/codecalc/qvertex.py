@@ -26,6 +26,7 @@ from .core import (
 from .codes import (
     _decode_letters,
     _q_exchange_step,
+    _rows_with_top,
     _signed,
     encode_code,
     straighten_code_trace,
@@ -89,12 +90,10 @@ def _bracket_by_code(word: str, pairs: list[int], i: int) -> Composition:
     ``pairs`` is ``_rr_pairs(word)``; pairs are counted left to right,
     continuing into the implicit R-tail past the word's end.
     """
-    if i <= len(pairs):
-        t = pairs[i - 1]
-        seq = word[: t + 1] + "U" + word[t + 1 :]
-    else:
-        seq = word + "R" * (i - len(pairs)) + "U"
-    return _decode_letters(seq)
+    if i > len(pairs):
+        return _rows_with_top(word, i - len(pairs))
+    t = pairs[i - 1]
+    return _decode_letters(word[: t + 1] + "U" + word[t + 1 :])
 
 
 def lambda_bracket(lam, i: int) -> Composition:

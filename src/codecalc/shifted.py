@@ -94,5 +94,4 @@ def lambda_bracket_shifted(lam, i: int) -> Composition:
     """
     lam = _validated_strict(lam)
     check_int(i, "bracket position", 1)
-    letters = _replace_ith_r(encode_shifted(lam).letters, i)
-    return _decode_letters(letters, ShiftedCodeWord.shift)
+    return _replace_ith_r(encode_shifted(lam).letters, i, ShiftedCodeWord.shift)

@@ -6,7 +6,7 @@ import pytest
 
 from codecalc import bernstein, codes
 from codecalc.core import DomainError, SignedIndexResult, ZERO
-from codecalc.verify import partitions
+from codecalc.verify import _sup_closed, partitions
 
 
 ACTION_CASES = [
@@ -56,6 +56,8 @@ SUP_CASES = [
     ((), 1, (0,)),
     ((2, 0), 1, (1, 0, 0)),
     ((3, 1), 1, (2, 0, 0)),
+    # far into the R-tail; the 10**12-letter word this position names is never built
+    ((3, 1), 10**12, (10**12 - 1, 3, 1)),
 ]
 
 
@@ -121,6 +123,13 @@ def test_series_terms_reproduce_action():
                 assert action.is_zero, (lam, n)
             else:
                 assert action == SignedIndexResult(term.sign, term.index), (lam, n)
+
+
+def test_series_tail_terms_match_closed_form():
+    # every partition here stores at most 5 R's, so most terms lie in the R-tail
+    for lam in partitions(5, 3):
+        terms = bernstein.bernstein_series(lam, 40)
+        assert [t.index for t in terms] == [_sup_closed(lam, i) for i in range(1, 41)]
 
 
 def test_series_term_dict_shape():

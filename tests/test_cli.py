@@ -127,6 +127,29 @@ def test_series_beyond_the_cap_is_an_error(capsys, algebra, window):
     assert err == f"error: {window[2:].replace('-', '_')} must be at most 10000, got 100000000\n"
 
 
+INT_FLAGS = [
+    ("act", "--algebra", "b", "--index", "2,1", "-n"),
+    ("series", "--algebra", "b", "--index", "1", "--i-max"),
+    ("series", "--algebra", "q", "--index", "1", "--n-max"),
+    ("verify", "--suite", "corpus", "--max-part"),
+    ("verify", "--suite", "corpus", "--max-len"),
+    ("verify", "--suite", "corpus", "--i-max"),
+    ("verify", "--suite", "corpus", "--n-max"),
+]
+
+
+@pytest.mark.parametrize("prefix", INT_FLAGS, ids=[p[0] + p[-1] for p in INT_FLAGS])
+@pytest.mark.parametrize(
+    "value",
+    ["\u0663", "\uff13", "1_0", "+2", " 2", "2\n"],
+    ids=["arabic-indic", "fullwidth", "underscore", "plus", "space", "newline"],
+)
+def test_integer_flags_take_ascii_digits_only(capsys, prefix, value):
+    code, out, err = _run(capsys, *prefix, value)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.endswith(f"invalid int value: {value!r}\n")
+
+
 def test_method_all_skips_shifted_on_zero_rows(capsys):
     code, out, _ = _run(capsys, "straighten", "--algebra", "q", "--method", "all", "0,2")
     assert code == 0 and out == "-1 * Q[2,0]\n"
@@ -285,3 +308,52 @@ def test_cli_start_does_not_import_verify():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "-1 * B[2,2]\nFalse\n"
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+# (argv, CODECALC_FORMAT or None): every way a request can end, interleaved
+REUSE_SEQUENCE = [
+    (("straighten", "--algebra", "b", "1,3,1,6,2"), None),
+    (("series", "--algebra", "q", "--index", "2", "--n-max", "3", "--format", "json"), None),
+    (("code", "--index", "4,2,2,1"), "json"),
+    (("code", "--index", "4,2,2,1"), "bogus"),
+    (("straighten", "--algebra", "x", "1"), None),
+    (("straighten", "--help"), None),
+    (("act", "--algebra", "b", "-n", "1", "--index", "1,2"), None),
+    (("act", "--algebra", "q", "-n", "2", "--index", "3", "--format", "text"), "json"),
+    (("code", "--decode", "RURUURRU", "--shifted"), None),
+    (("series", "--algebra", "b", "--index", "1", "--i-max", "3"), "json"),
+    (("act", "--algebra", "b", "-n", "x"), None),
+    (("code", "--index", "4,2,2,1"), None),
+]
+
+
+def _outcome(capsys, monkeypatch, argv, env):
+    if env is None:
+        monkeypatch.delenv("CODECALC_FORMAT", raising=False)
+    else:
+        monkeypatch.setenv("CODECALC_FORMAT", env)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_reused_parser_leaks_no_state(capsys, monkeypatch):
+    fresh = {}
+    for argv, env in REUSE_SEQUENCE:
+        cli._build_parser.cache_clear()
+        fresh[argv, env] = _outcome(capsys, monkeypatch, argv, env)
+    assert fresh[("straighten", "--help"), None][0] == ("SystemExit", 0)
+    assert {code for code, _, _ in fresh.values()} == {0, 1, ("SystemExit", 0)}
+
+    interleaved = REUSE_SEQUENCE[::2] + REUSE_SEQUENCE[1::2]
+    for order in (REUSE_SEQUENCE[::-1], interleaved):
+        cli._build_parser.cache_clear()
+        for argv, env in order:
+            assert _outcome(capsys, monkeypatch, argv, env) == fresh[argv, env], argv

@@ -8,7 +8,7 @@ import pytest
 
 from codecalc import qvertex
 from codecalc.core import DomainError, SignedIndexResult, ZERO, negate
-from codecalc.verify import strict_partitions
+from codecalc.verify import _bracket_by_values, strict_partitions
 
 
 PERM_CASES = [
@@ -80,6 +80,8 @@ BRACKET_CASES = [
     ((), 2, (2,)),
     ((), 1, (1,)),
     ((3,), 3, (4, 3)),
+    # far into the R-tail; the 10**12-letter word this position names is never built
+    ((3, 1), 10**12, (10**12 + 2, 3, 1)),
 ]
 
 
@@ -145,6 +147,14 @@ def test_q_series_terms_match_action():
             assert qvertex.yn_action(term.n, lam) == SignedIndexResult(
                 term.sign, term.index
             )
+
+
+def test_q_series_tail_terms_match_value_insertion():
+    # every index here has at most 5 RR pairs, so most terms lie in the R-tail
+    for lam in strict_partitions(6, 3):
+        terms = qvertex.q_series_i_form(lam, 40)[1:]
+        expected = [_bracket_by_values(lam, i) for i in range(1, 41)]
+        assert [t.index for t in terms] == expected, lam
 
 
 def test_q_series_term_dict_shape():

@@ -116,6 +116,8 @@ BRACKET_CASES = [
     ((3, 1), 2, (4, 3, 1)),
     ((), 1, (1,)),
     ((3,), 3, (4, 3)),
+    # far into the R-tail; the 10**12-letter word this position names is never built
+    ((3, 1), 10**12, (10**12 + 2, 3, 1)),
 ]
 
 

@@ -15,7 +15,7 @@ from codecalc.codes import _built
 
 
 def _shift_i(real):
-    return lambda word, i: real(word, i + 1)
+    return lambda word, i, *shift: real(word, i + 1, *shift)
 
 
 def _wrong_bracket(real):
