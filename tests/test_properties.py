@@ -9,10 +9,11 @@ from __future__ import annotations
 import contextlib
 import io
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codecalc import bernstein, codes, oracle, qvertex, shifted
+from codecalc import bernstein, codes, ops, qvertex, shifted, verify
 from codecalc.cli import main
 from codecalc.core import ZERO, SignedIndexResult
 
@@ -43,26 +44,58 @@ def test_shifted_round_trip_and_preshift(mu):
     assert shifted.preshift(codes.encode_code(mu)).strip_prefix() == word
 
 
-@_SETTINGS
-@given(indexes)
-def test_code_reading_and_oracle_routes_agree(mu):
-    word = codes.encode_code(mu)
-    expected = oracle.exponent_straighten(mu)
-    assert codes.straighten_code(word) == expected
-    assert codes.reading_straighten(word) == expected
+def _insert_pairs(mu, inserts):
+    """mu with the code word's letters and RL/LR pairs inserted (reading tolerates them)."""
+    letters = codes.encode_code(mu).letters
+    for pos, pair in inserts:
+        pos = min(pos, len(letters))
+        letters = letters[:pos] + pair + letters[pos:]
+    return {"index": list(mu), "letters": letters}
 
 
-@_SETTINGS
-@given(indexes)
-def test_q_code_route_agrees_with_sorting(mu):
-    assert qvertex.straighten_Y_code(mu) == qvertex.straighten_Y_perm(mu)
+def _at(lams, name):
+    """Args of an index and a position i >= 1 or a degree n >= 0, up to 70."""
+    return st.tuples(lams, st.integers(1 if name == "i" else 0, 70)).map(
+        lambda p: {"index": list(p[0]), name: p[1]}
+    )
 
 
-@_SETTINGS
-@given(positive_indexes)
-def test_shifted_route_agrees_with_sorting(mu):
-    word = shifted.encode_shifted(mu)
-    assert shifted.shifted_straighten(word) == qvertex.straighten_Y_perm(mu)
+def _with_letters(mus, encode):
+    return mus.map(lambda mu: {"index": list(mu), "letters": encode(mu).letters})
+
+
+index_args = indexes.map(lambda mu: {"index": list(mu)})
+# one args strategy per op that verify.REFERENCES checks
+OP_ARGS = {
+    "straighten_B": index_args,
+    "exponent_straighten": index_args,
+    "straighten_Y_code": index_args,
+    "reading_straighten": st.builds(
+        _insert_pairs,
+        indexes,
+        st.lists(st.tuples(st.integers(0, 200), st.sampled_from(["RL", "LR"])), max_size=3),
+    ),
+    "shifted_straighten": _with_letters(positive_indexes, shifted.encode_shifted),
+    "preshift": _with_letters(positive_indexes, codes.encode_code),
+    "lambda_sup": _at(partitions, "i"),
+    "r_index": _at(partitions, "i"),
+    "bn_action": _at(partitions, "n"),
+    "lambda_bracket": _at(strict_partitions, "i"),
+    "lambda_bracket_shifted": _at(strict_partitions, "i"),
+    "yn_action": _at(strict_partitions, "n"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(verify.REFERENCES))
+def test_op_agrees_with_its_reference(check):
+    op, reference = verify.REFERENCES[check]
+
+    @_SETTINGS
+    @given(OP_ARGS[op])
+    def agree(args):
+        assert ops.run(op, args) == reference(args)
+
+    agree()
 
 
 @_SETTINGS
@@ -77,7 +110,6 @@ def test_b_action_is_its_series_term(lam, n):
 @_SETTINGS
 @given(strict_partitions, st.integers(0, 70))
 def test_q_action_and_series_forms_agree(lam, n):
-    assert qvertex.yn_action(n, lam) == qvertex.straighten_Y_perm((n,) + lam)
     j_terms = qvertex.q_series_j_form(lam, n)
     i_terms = [t for t in qvertex.q_series_i_form(lam, n + len(lam)) if t.n <= n]
     assert j_terms == sorted(i_terms, key=lambda t: t.n)

@@ -87,7 +87,7 @@ BRACKET_CASES = [
 
 @pytest.mark.parametrize("lam,i,expected", BRACKET_CASES)
 def test_lambda_bracket(lam, i, expected):
-    assert qvertex.lambda_bracket(lam, i) == expected
+    assert qvertex.lambda_bracket(lam, i) == expected == _bracket_by_values(lam, i)
 
 
 def test_lambda_bracket_inserts_absent_values():

@@ -2,16 +2,18 @@
 
 The public operations compute each answer once, by the code route; the
 independent routes and the per-step exchange invariants are compared in the
-verify suites.  Each test here breaks one route and checks that the suite
-owning that check reports it as a failure of the named op.
+verify suites.  Each test here breaks one route, or one op of a
+``verify.REFERENCES`` entry, and checks that the suites report it as a
+failure of the named check.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from codecalc import bernstein, codes, qvertex, shifted, verify
+from codecalc import bernstein, codes, ops, qvertex, shifted, verify
 from codecalc.codes import _built
+from codecalc.core import negate
 
 
 def _shift_i(real):
@@ -72,12 +74,26 @@ def test_suite_reports_broken_route(monkeypatch, module, name, breaker, suite, o
     assert op in failed_ops, sorted(map(str, failed_ops))
 
 
+SWEEPS = [suite for name, suite in verify.SUITES.items() if name != "corpus"]
+
+
+@pytest.mark.parametrize("check", sorted(verify.REFERENCES))
+def test_sweeps_report_every_broken_reference_entry(monkeypatch, check):
+    op = verify.REFERENCES[check][0]
+    fn, names, key = ops.OPS[op]
+    # a wrong answer: the sign flipped, or -1 in place of an index, word or row
+    wrong = (lambda *args: negate(fn(*args))) if key is None else (lambda *args: -1)
+    monkeypatch.setitem(ops.OPS, op, (wrong, names, key))
+    failed = {f["input"].get("op") for suite in SWEEPS for f in suite(3, 3).failures}
+    assert check in failed, sorted(map(str, failed))
+
+
 def test_guard_records_errors_as_failures(monkeypatch):
     def broken(word):
         raise codes.InternalInvariantError("broken on purpose")
 
     monkeypatch.setattr(codes, "straighten_code", broken)
-    report = verify.verify_codes(2, 2, samples=0)
+    report = verify.verify_codes(2, 2)
     raised = [f for f in report.failures if f["expected"] == "no error"]
     assert raised and all("broken on purpose" in f["got"] for f in raised)
 
