@@ -22,7 +22,7 @@ from .core import (
     signed_result,
     validate_composition,
 )
-from .codes import _decode_letters, _replace_ith_r, encode_code
+from .codes import _replace_ith_r, _splice_u, encode_code
 
 
 def _validated_partition(parts) -> Composition:
@@ -51,7 +51,7 @@ def bn_action(n: int, lam) -> SignedIndexResult:
     if zidx < 0 or word[zidx] == "U":
         return ZERO
     exponent = word[zidx + 1 : -1].count("U") + 1
-    new = _decode_letters(word[:zidx] + "U" + word[zidx + 1 :])
+    new = _splice_u(word, zidx)
     if (
         len(new) != len(lam) + 1
         or sum(new) != sum(lam) + n

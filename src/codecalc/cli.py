@@ -1,7 +1,7 @@
 """Command-line interface: encode/decode, straighten, act, series, verify.
 
-Exit codes: 0 on success, 1 on usage or domain errors, 2 when an internal
-invariant check fails.  Output is plain text by default; --format json (or the
+Exit codes: 0 on success, 1 on usage or domain errors and on inputs too large
+for the memory available, 2 when an internal invariant check fails.  Output is plain text by default; --format json (or the
 CODECALC_FORMAT environment variable) switches to canonical one-line JSON.
 """
 
@@ -262,6 +262,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # --file / --output that cannot be opened
         where = f": {exc.filename!r}" if exc.filename else ""
         print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

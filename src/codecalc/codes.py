@@ -11,7 +11,9 @@ distinct indexes always get distinct words.
 
 Straightening rewrites a word containing L's (rows out of order) into either
 the zero result or a signed word without L's (a partition), by repeatedly
-exchanging the leftmost L-run with a letter to its left.
+exchanging the leftmost L-run with a letter to its left.  One loop applies the
+step of every rule in ``RULES`` (plain, shifted, Q, reading); the
+straighteners sum it, and verify checks each word it yields.
 
 A shifted word (Schur-Q side, strict indexes with positive rows) is the same
 kind of word read with its rows offset by a staircase: the k-th U from the
@@ -180,25 +182,27 @@ def decode_code(word: CodeWord | str) -> Composition:
     return _decode(CodeWord, word)
 
 
-def _rows_with_top(word: str, k: int, shift: int = 0) -> Composition:
-    """Rows of ``word`` + R**k + U without building it: the word's rows under
-    one new top row, k columns right of the position the word ends at."""
-    end = shift + word.count("R") - word.count("L") + shift * word.count("U")
-    return (end + k,) + _decode_letters(word, shift)
+def _splice_u(word: str, idx: int, shift: int = 0, insert: bool = False) -> Composition:
+    """Rows of ``word`` + R-tail (style ``shift``) with a U at letter idx, in
+    place of the R there or, with ``insert``, before it.  Past the word this
+    is its rows under a new top row, read off without building the tail."""
+    if idx >= len(word):
+        end = shift + word.count("R") - word.count("L") + shift * word.count("U")
+        return (end + idx - len(word),) + _decode_letters(word, shift)
+    return _decode_letters(word[:idx] + "U" + word[idx if insert else idx + 1 :], shift)
 
 
 def _replace_ith_r(word: str, i: int, shift: int = 0) -> Composition:
     """Rows of ``word`` (of style ``shift``) with its i-th R turned into a U.
 
-    R's are counted from the left, into the R-tail past the stored word; a
-    tail R costs no more than a stored one (``_rows_with_top``).
+    R's are counted from the left, into the R-tail past the stored word.
     """
     idx = -1
     for count in range(i):
         idx = word.find("R", idx + 1)
         if idx < 0:
-            return _rows_with_top(word, i - count - 1, shift)
-    return _decode_letters(word[:idx] + "U" + word[idx + 1 :], shift)
+            return _splice_u(word, len(word) + i - count - 1, shift)
+    return _splice_u(word, idx, shift)
 
 
 def _reduce_and_trim(seq) -> list[str]:
@@ -223,19 +227,19 @@ def _leftmost_run(word: list[str]) -> tuple[int, int]:
     return p, k - p
 
 
-def _exchange_step(word: list[str], *, virtual_prefix: bool):
+def _exchange_step(word: list[str], shift: int):
     """One straightening exchange at the leftmost L-run (length k, start p).
 
-    The letter k positions left of the run is examined: a U there (or, with
-    ``virtual_prefix``, falling off the stored word into the U-prefix)
-    annihilates the whole product.  An R there becomes a U, the run shrinks by
-    one L, and the sign picks up one flip per U strictly between that letter
-    and the run.  Returns None on annihilation, else (sign_exponent, new word).
+    The letter k positions left of the run is examined: a U there annihilates
+    the whole product, and so does a run reaching past a plain word, into its
+    U-prefix; past a shifted word (``shift`` 1) the run is an invalid word.
+    An R there becomes a U, the run shrinks by one L, and the sign picks up
+    one flip per U strictly between that letter and the run.
     """
     p, k = _leftmost_run(word)
     t = p - k
     if t < 0:
-        if virtual_prefix:
+        if not shift:
             return None
         raise InvalidCodeError(
             f"run of {k} L's reaches past the start of {''.join(word)!r}"
@@ -249,25 +253,14 @@ def _exchange_step(word: list[str], *, virtual_prefix: bool):
     return exponent, _reduce_and_trim(new)
 
 
-def _plain_step(word: list[str]):
-    """The plain rule: a run reaching past the word annihilates in the U-prefix."""
-    return _exchange_step(word, virtual_prefix=True)
-
-
-def _shifted_step(word: list[str]):
-    """The shifted rule: the run may never reach past the word's left edge."""
-    return _exchange_step(word, virtual_prefix=False)
-
-
-def _q_exchange_step(word: list[str]):
-    """One strict-index straightening exchange at the leftmost L-run.
+def _q_exchange_step(word: list[str], shift: int):
+    """One strict-index (Q) exchange at the leftmost L-run of a plain word.
 
     Walks left from the run to the k-th R; the stored letter before that R
     annihilates the product when it is a U.  Otherwise a new U is inserted
     before that R (at the word's left edge this creates a zero row), the run
     keeps all k L's, and the U that closed the run is dropped.  The sign flips
     once per letter skipped between the k-th R and the run beyond those k R's.
-    Returns None on annihilation, else (sign_exponent, new word).
     """
     p, k = _leftmost_run(word)
     q = p - 1
@@ -307,28 +300,77 @@ def _check_straight(start: Composition, rows: Composition, shift: int, word) -> 
         )
 
 
-def straighten_code_trace(word, step=_plain_step, shift: int = 0):
-    """Drive ``step`` on a word of style ``shift`` until no L remains.
+def _reading_step(word: list[str], shift: int):
+    """One reading pass from the leftmost L of a plain, maybe unreduced word.
 
-    ``step`` is _plain_step, _shifted_step (with shift 1) or _q_exchange_step.
-    Returns None on annihilation, else (total sign exponent, final rows).  The
-    final word is checked once (``_check_straight``); verify replays the rules
-    one step at a time.
+    Letters are deleted as they are read (R's past the word), while a cursor
+    tracks the net position until it is back at the reading position.  A U
+    read with the cursor on a U (or in the U-prefix) annihilates; on an R it
+    rewrites that R to a U, with one sign flip per U between them.
     """
-    letters = list(_as_word(ShiftedCodeWord if shift else CodeWord, word).letters)
+    w = list(word)  # a new list: no step changes the word it is given
+    r = c = w.index("L")
+    exponent = 0
+    while True:
+        ch = w.pop(r) if r < len(w) else "R"
+        if ch == "U":
+            if c < 0 or w[c] == "U":
+                return None
+            if w[c] != "R":
+                raise InternalInvariantError(
+                    f"cursor on {w[c]!r} while reading a U in {''.join(w)!r}"
+                )
+            exponent += w[c + 1 : r].count("U")
+            w[c] = "U"
+        c += -1 if ch == "L" else 1
+        if c == r:
+            return exponent, w
+
+
+# rule name -> (word type, step).  A step(letters, the type's shift) returns
+# None on annihilation, else (sign exponent, new word).
+RULES = {
+    "plain": (CodeWord, _exchange_step),
+    "shifted": (ShiftedCodeWord, _exchange_step),
+    "q": (CodeWord, _q_exchange_step),
+    "reading": (CodeWord, _reading_step),
+}
+
+
+def _exchanges(letters: list[str], rule: str):
+    """The one exchange loop: apply ``rule``'s step until no L remains,
+    yielding each step's result (None, once, on annihilation)."""
+    cls, step = RULES[rule]
+    while "L" in letters:
+        out = step(letters, cls.shift)
+        yield out
+        if out is None:
+            return
+        letters = out[1]
+
+
+def _sum_exchanges(letters: list[str], rule: str):
+    """Sum the exchange loop over letters: None on annihilation, else (total
+    sign exponent, final rows), the final word checked once."""
+    shift = RULES[rule][0].shift
     start = _decode_letters(letters, shift)
     if "L" not in letters:
         return 0, start  # already straight
     total = 0
-    while "L" in letters:
-        out = step(letters)
+    for out in _exchanges(letters, rule):
         if out is None:
             return None
-        inc, letters = out
-        total += inc
+        total += out[0]
+        letters = out[1]
     rows = _decode_letters(letters, shift)
     _check_straight(start, rows, shift, letters)
     return total, rows
+
+
+def straighten_code_trace(word, rule: str = "plain"):
+    """Straighten a word of ``rule``'s type (a name in RULES) by the exchange
+    loop: None on annihilation, else (total sign exponent, final rows)."""
+    return _sum_exchanges(list(_as_word(RULES[rule][0], word).letters), rule)
 
 
 def _signed(out) -> SignedIndexResult:
@@ -347,43 +389,11 @@ def straighten_B(parts: Composition) -> SignedIndexResult:
 
 
 def reading_straighten_trace(word: CodeWord | str):
-    """Single-pass-per-run reading variant of straighten_code_trace.
-
-    Letters are consumed one at a time starting at the leftmost L, deleting
-    each as it is read, while a second cursor tracks the net horizontal
-    position.  Reading past the stored word supplies R's; a U read while the
-    cursor sits on a U (stored or in the virtual prefix) annihilates; a U read
-    while the cursor sits on an R rewrites that R to a U.  Tolerates
-    non-reduced words.
-    """
-    w = list(word.letters if isinstance(word, CodeWord) else word)
-    _check_alphabet(w)
-    start = _decode_letters(w)
-    total = 0
-    while "L" in w:
-        r = w.index("L")
-        c = r
-        while True:
-            ch = w.pop(r) if r < len(w) else "R"
-            if ch == "L":
-                c -= 1
-            elif ch == "R":
-                c += 1
-            else:
-                if c < 0 or w[c] == "U":
-                    return None
-                if w[c] != "R":
-                    raise InternalInvariantError(
-                        f"cursor on {w[c]!r} while reading a U in {''.join(w)!r}"
-                    )
-                total += w[c + 1 : r].count("U")
-                w[c] = "U"
-                c += 1
-            if c == r:
-                break
-    rows = _decode_letters(w)
-    _check_straight(start, rows, 0, w)
-    return total, rows
+    """straighten_code_trace by the reading rule, which also takes words that
+    are not reduced (only the alphabet is checked)."""
+    letters = list(word.letters if isinstance(word, CodeWord) else word)
+    _check_alphabet(letters)
+    return _sum_exchanges(letters, "reading")
 
 
 def reading_straighten(word: CodeWord | str) -> SignedIndexResult:

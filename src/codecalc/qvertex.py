@@ -24,10 +24,8 @@ from .core import (
     validate_composition,
 )
 from .codes import (
-    _decode_letters,
-    _q_exchange_step,
-    _rows_with_top,
     _signed,
+    _splice_u,
     encode_code,
     straighten_code_trace,
 )
@@ -49,7 +47,7 @@ def straighten_Y_perm(parts) -> SignedIndexResult:
 
 def straighten_Y_code(parts) -> SignedIndexResult:
     """Straighten a strict-side index by code-word rewriting (the Q exchange rule)."""
-    out = straighten_code_trace(encode_code(parts), _q_exchange_step)
+    out = straighten_code_trace(encode_code(parts), "q")
     if out is not None and any(a == b for a, b in zip(out[1], out[1][1:])):
         return ZERO  # equal adjacent rows annihilate
     return _signed(out)
@@ -90,10 +88,8 @@ def _bracket_by_code(word: str, pairs: list[int], i: int) -> Composition:
     ``pairs`` is ``_rr_pairs(word)``; pairs are counted left to right,
     continuing into the implicit R-tail past the word's end.
     """
-    if i > len(pairs):
-        return _rows_with_top(word, i - len(pairs))
-    t = pairs[i - 1]
-    return _decode_letters(word[: t + 1] + "U" + word[t + 1 :])
+    idx = pairs[i - 1] + 1 if i <= len(pairs) else len(word) + i - len(pairs)
+    return _splice_u(word, idx, insert=True)
 
 
 def lambda_bracket(lam, i: int) -> Composition:

@@ -26,7 +26,6 @@ from .codes import (
     _decode_letters,
     _encode,
     _replace_ith_r,
-    _shifted_step,
     _signed,
     reduce_word,
     straighten_code_trace,
@@ -50,7 +49,7 @@ def shifted_straighten(word: ShiftedCodeWord | str) -> SignedIndexResult:
     Runs the plain exchange rule, except that the run may never reach past the
     stored word's left edge.
     """
-    return _signed(straighten_code_trace(word, _shifted_step, ShiftedCodeWord.shift))
+    return _signed(straighten_code_trace(word, "shifted"))
 
 
 class PreshiftedWord(ShiftedCodeWord):

@@ -9,11 +9,11 @@ The public operations compute each answer once, by the code route; this
 module is where the independent routes are compared with it.  ``REFERENCES``
 names, once, the reference route each op of ``ops.OPS`` is checked against;
 the suites compare the two through ``_check_ref``.  The laws with no second
-route are checked in place: the plain, Q and shifted exchange rules replayed
-one step at a time (op ``step_invariants``), every encoder output
-re-validated through the public word constructors (op ``encode_valid``),
-round trips, reduction, vanishing degrees, series shape, anticommutation and
-the polynomial identities.
+route are checked in place: the plain, Q and shifted rules replayed one step
+at a time by the library's own loop (op ``step_invariants``), every encoder
+output re-validated through the public word constructors (op
+``encode_valid``), round trips, reduction, vanishing degrees, series shape,
+anticommutation and the polynomial identities.
 """
 
 from __future__ import annotations
@@ -92,25 +92,23 @@ def strict_partitions(max_part: int, max_len: int):
         yield from combinations(range(max_part, 0, -1), length)
 
 
-def _replay(letters: str, step, shift: int):
-    """Run an exchange rule on a ``shift``-style word one step at a time.
+def _replay(letters: str, rule: str):
+    """Run ``rule``'s exchange loop (``codes.RULES``) one step at a time.
 
-    Every step must keep the row count and the total and leave no row below
-    ``shift``.  Returns (steps taken, None) or (steps, the first bad step).
+    Every word it yields must keep the row count and the total, with no row
+    below its type's shift.  Returns (steps, None) or (steps, first bad step).
     """
-    word = list(letters)
-    rows = codes._decode_letters(word, shift)
+    shift = codes.RULES[rule][0].shift
+    rows = codes._decode_letters(letters, shift)
     nrows, size = len(rows), sum(rows)
     steps = 0
-    while "L" in word:
-        out = step(word)
+    for out in codes._exchanges(list(letters), rule):
         if out is None:
             break
-        word = out[1]
         steps += 1
-        rows = codes._decode_letters(word, shift)
+        rows = codes._decode_letters(out[1], shift)
         if len(rows) != nrows or sum(rows) != size or any(r < shift for r in rows):
-            return steps, {"step": steps, "letters": "".join(word), "rows": list(rows)}
+            return steps, {"step": steps, "letters": "".join(out[1]), "rows": list(rows)}
     return steps, None
 
 
@@ -182,25 +180,25 @@ def _check_ref(report: VerifyReport, check: str, args: dict) -> None:
     report.check({"op": check, **args}, reference(args), ops.run(op, args))
 
 
-def _check_word(report: VerifyReport, mu, word, cls, decode, rule: str, step) -> int:
+def _check_word(report: VerifyReport, mu, word, decode, rule: str) -> int:
     """Encoder validity, round trip and per-step ``rule`` invariants of the
-    ``cls`` word an encoder built for mu; returns the number of exchange steps."""
+    word an encoder built for mu; returns the number of exchange steps."""
     letters = word.letters
     try:
-        cls(letters)  # the public constructor must accept the encoder's letters
+        codes.RULES[rule][0](letters)  # the public constructor must accept the encoder's letters
         valid = True
     except InvalidCodeError as exc:
         valid = str(exc)
     report.check({"op": "encode_valid", "index": list(mu)}, True, valid)
     report.check({"op": "round_trip", "index": list(mu)}, list(mu), list(decode(word)))
-    return _check_steps(report, mu, letters, rule, step, cls.shift)
+    return _check_steps(report, mu, letters, rule)
 
 
-def _check_steps(report: VerifyReport, mu, letters: str, rule: str, step, shift: int) -> int:
-    """Replay ``step`` on letters, checking every step's word (op step_invariants)."""
+def _check_steps(report: VerifyReport, mu, letters: str, rule: str) -> int:
+    """Replay ``rule`` on letters, checking every step's word (op step_invariants)."""
     if "L" not in letters:
         return 0
-    steps, bad = _replay(letters, step, shift)
+    steps, bad = _replay(letters, rule)
     report.check({"op": "step_invariants", "rule": rule, "index": list(mu)}, None, bad)
     return steps
 
@@ -214,9 +212,7 @@ def verify_codes(max_part: int = 4, max_len: int = 3) -> VerifyReport:
         with report.guard({"index": list(mu)}):
             word = codes.encode_code(mu)
             letters = word.letters
-            steps = _check_word(
-                report, mu, word, codes.CodeWord, codes.decode_code, "plain", codes._plain_step
-            )
+            steps = _check_word(report, mu, word, codes.decode_code, "plain")
             if "L" in letters:
                 # exchange-step count is bounded by the U's right of the leftmost L
                 bound = letters[letters.index("L") :].count("U")
@@ -326,7 +322,7 @@ def verify_qvertex(max_part: int = 4, max_len: int = 3, window_pad: int = 5) -> 
     for mu in compositions(max_part, max_len):
         with report.guard({"index": list(mu)}):
             letters = codes.encode_code(mu).letters
-            _check_steps(report, mu, letters, "q", codes._q_exchange_step, 0)
+            _check_steps(report, mu, letters, "q")
             _check_ref(report, "straighten_Y", {"index": list(mu)})
     for m in range(max_part + 1):
         for n in range(max_part + 1):
@@ -380,15 +376,7 @@ def verify_shifted(max_part: int = 4, max_len: int = 3, i_max: int = 10) -> Veri
     for mu in compositions(max_part, max_len, 1):
         with report.guard({"index": list(mu)}):
             word = shifted.encode_shifted(mu)
-            _check_word(
-                report,
-                mu,
-                word,
-                shifted.ShiftedCodeWord,
-                shifted.decode_shifted,
-                "shifted",
-                codes._shifted_step,
-            )
+            _check_word(report, mu, word, shifted.decode_shifted, "shifted")
             plain = codes.encode_code(mu).letters
             _check_ref(report, "preshift", {"index": list(mu), "letters": plain})
             _check_ref(report, "shifted_straighten", {"index": list(mu), "letters": word.letters})

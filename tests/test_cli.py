@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from codecalc import cli, verify
+from codecalc import cli, ops, verify
 from codecalc.cli import main
 from codecalc.core import canonical_json
 
@@ -114,6 +114,18 @@ def test_domain_errors_exit_1(capsys):
     assert _run(capsys, "act", "--algebra", "b", "-n", "1", "--index", "1,2")[0] == 1
     assert _run(capsys, "code", "--decode", "RL")[0] == 1
     assert _run(capsys, "straighten", "--algebra", "b", "1,x")[0] == 1
+
+
+def test_out_of_memory_is_an_error_line(capsys, monkeypatch):
+    def exhausted(parts):
+        raise MemoryError  # what encoding a part too large for memory ends in
+
+    monkeypatch.setitem(ops.OPS, "straighten_B", (exhausted, ("index",), None))
+    assert _run(capsys, "straighten", "--algebra", "b", "100000000000") == (
+        1,
+        "",
+        "error: out of memory\n",
+    )
 
 
 @pytest.mark.parametrize(

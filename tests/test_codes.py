@@ -146,5 +146,5 @@ def test_step_count_bounded_by_trailing_u_count():
             if "L" not in letters:
                 continue
             bound = letters[letters.index("L") :].count("U")
-            steps, bad = verify._replay(letters, codes._plain_step, 0)
+            steps, bad = verify._replay(letters, "plain")
             assert bad is None and steps <= bound, mu

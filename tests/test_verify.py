@@ -2,9 +2,9 @@
 
 The public operations compute each answer once, by the code route; the
 independent routes and the per-step exchange invariants are compared in the
-verify suites.  Each test here breaks one route, or one op of a
-``verify.REFERENCES`` entry, and checks that the suites report it as a
-failure of the named check.
+verify suites.  Each test here breaks one route, one step of a
+``codes.RULES`` entry or one op of a ``verify.REFERENCES`` entry, and checks
+that the suites report it as a failure of the named check.
 """
 
 from __future__ import annotations
@@ -25,9 +25,17 @@ def _wrong_bracket(real):
 
 
 def _extra_row(real):
-    def step(word):
-        out = real(word)
+    def step(word, shift):
+        out = real(word, shift)
         return out if out is None else (out[0], out[1] + ["U"])
+
+    return step
+
+
+def _flip_sign(real):
+    def step(word, shift):
+        out = real(word, shift)
+        return out if out is None else (out[0] + 1, out[1])
 
     return step
 
@@ -41,9 +49,6 @@ BROKEN_ROUTES = [
     (bernstein, "_replace_ith_r", _shift_i, verify.verify_bernstein, "sup_code"),
     (qvertex, "_bracket_by_code", _wrong_bracket, verify.verify_qvertex, "bracket_code"),
     (shifted, "_replace_ith_r", _shift_i, verify.verify_shifted, "bracket_shifted"),
-    (codes, "_plain_step", _extra_row, verify.verify_codes, "step_invariants"),
-    (codes, "_q_exchange_step", _extra_row, verify.verify_qvertex, "step_invariants"),
-    (codes, "_shifted_step", _extra_row, verify.verify_shifted, "step_invariants"),
     (
         codes,
         "encode_code",
@@ -74,6 +79,50 @@ def test_suite_reports_broken_route(monkeypatch, module, name, breaker, suite, o
     assert op in failed_ops, sorted(map(str, failed_ops))
 
 
+def _outcome(straighten, mu):
+    try:
+        return straighten(mu)
+    except codes.InternalInvariantError as exc:
+        return type(exc).__name__
+
+
+BROKEN_RULES = [
+    # (rule of codes.RULES, how to break its step, suite, op whose check must
+    # fail, the public straightener that runs the rule)
+    ("plain", _extra_row, verify.verify_codes, "step_invariants", codes.straighten_B),
+    (
+        "shifted",
+        _extra_row,
+        verify.verify_shifted,
+        "step_invariants",
+        lambda mu: shifted.shifted_straighten(shifted.encode_shifted(mu)),
+    ),
+    ("q", _extra_row, verify.verify_qvertex, "step_invariants", qvertex.straighten_Y_code),
+    (
+        "reading",
+        _flip_sign,
+        verify.verify_codes,
+        "reading_straighten",
+        lambda mu: codes.reading_straighten(codes.encode_code(mu)),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "rule,breaker,suite,op,straighten", BROKEN_RULES, ids=[r[0] for r in BROKEN_RULES]
+)
+def test_suite_reports_broken_rule(monkeypatch, rule, breaker, suite, op, straighten):
+    # the sweeps and the library run the same loop: a broken step shows in both
+    assert suite(3, 3).ok
+    before = _outcome(straighten, (1, 3))
+    word_type, step = codes.RULES[rule]
+    monkeypatch.setitem(codes.RULES, rule, (word_type, breaker(step)))
+    assert _outcome(straighten, (1, 3)) != before
+    report = suite(3, 3)
+    failed = {(f["input"].get("op"), f["input"].get("rule")) for f in report.failures}
+    assert (op, rule if op == "step_invariants" else None) in failed, sorted(map(str, failed))
+
+
 SWEEPS = [suite for name, suite in verify.SUITES.items() if name != "corpus"]
 
 
@@ -98,9 +147,11 @@ def test_guard_records_errors_as_failures(monkeypatch):
     assert raised and all("broken on purpose" in f["got"] for f in raised)
 
 
-def test_replay_reports_first_bad_step():
+def test_replay_reports_first_bad_step(monkeypatch):
+    word_type, step = codes.RULES["plain"]
+    monkeypatch.setitem(codes.RULES, "plain", (word_type, _extra_row(step)))
     letters = codes.encode_code((1, 3, 1, 6, 2)).letters
-    steps, bad = verify._replay(letters, _extra_row(codes._plain_step), 0)
+    steps, bad = verify._replay(letters, "plain")
     assert steps == 1 and bad["step"] == 1
 
 
