@@ -6,127 +6,80 @@ on two independent sides: the partition side (Schur functions, operators that
 shift by a staircase under the hood) and the strict side (Schur-Q functions,
 anticommuting vertex operators).  Every nontrivial computation has at least
 two independent routes, and the verify module sweeps them against each other.
-"""
 
-from .core import (
-    CalcError,
-    Composition,
-    DomainError,
-    InternalInvariantError,
-    InvalidCodeError,
-    ParseError,
-    SignedIndexResult,
-    ZERO,
-    canonical_json,
-    classify,
-    is_partition,
-    is_strict_partition,
-    negate,
-    parse_index,
-    render_index,
-)
-from .codes import (
-    CodeWord,
-    decode_code,
-    encode_code,
-    reading_straighten,
-    reduce_word,
-    straighten_B,
-    straighten_code,
-)
-from .bernstein import (
-    SeriesTerm,
-    bernstein_series,
-    bernstein_series_window,
-    bn_action,
-    lambda_sup,
-    r_index,
-)
-from .qvertex import (
-    QSeriesTerm,
-    lambda_bracket,
-    q_series_i_form,
-    q_series_j_form,
-    straighten_Y_code,
-    straighten_Y_perm,
-    yn_action,
-)
-from .shifted import (
-    PreshiftedWord,
-    ShiftedCodeWord,
-    decode_shifted,
-    encode_shifted,
-    lambda_bracket_shifted,
-    preshift,
-    shifted_straighten,
-)
-from .oracle import (
-    IntPolynomial,
-    bialternant,
-    exponent_straighten,
-    schur_poly,
-    staircase,
-    vandermonde_product,
-)
+Every public name loads on first use: ``from codecalc import straighten_code``
+imports only ``core`` and ``codes``, and a CLI start never imports ``verify``.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CalcError",
-    "CodeWord",
-    "Composition",
-    "DomainError",
-    "IntPolynomial",
-    "InternalInvariantError",
-    "InvalidCodeError",
-    "ParseError",
-    "PreshiftedWord",
-    "QSeriesTerm",
-    "SeriesTerm",
-    "ShiftedCodeWord",
-    "SignedIndexResult",
-    "SUITES",
-    "VerifyReport",
-    "ZERO",
-    "bernstein_series",
-    "bernstein_series_window",
-    "bialternant",
-    "bn_action",
-    "canonical_json",
-    "classify",
-    "decode_code",
-    "decode_shifted",
-    "encode_code",
-    "encode_shifted",
-    "exponent_straighten",
-    "is_partition",
-    "is_strict_partition",
-    "lambda_bracket",
-    "lambda_bracket_shifted",
-    "lambda_sup",
-    "negate",
-    "parse_index",
-    "preshift",
-    "q_series_i_form",
-    "q_series_j_form",
-    "r_index",
-    "reading_straighten",
-    "reduce_word",
-    "render_index",
-    "schur_poly",
-    "shifted_straighten",
-    "staircase",
-    "straighten_B",
-    "straighten_Y_code",
-    "straighten_Y_perm",
-    "straighten_code",
-    "vandermonde_product",
-    "yn_action",
-]
+# each public name and the module that defines it; __all__ keeps this order
+_HOME = {
+    "CalcError": "core",
+    "CodeWord": "codes",
+    "Composition": "core",
+    "DomainError": "core",
+    "IntPolynomial": "oracle",
+    "InternalInvariantError": "core",
+    "InvalidCodeError": "core",
+    "ParseError": "core",
+    "PreshiftedWord": "shifted",
+    "QSeriesTerm": "qvertex",
+    "SeriesTerm": "bernstein",
+    "ShiftedCodeWord": "codes",
+    "SignedIndexResult": "core",
+    "SUITES": "verify",
+    "VerifyReport": "verify",
+    "ZERO": "core",
+    "bernstein_series": "bernstein",
+    "bernstein_series_window": "bernstein",
+    "bialternant": "oracle",
+    "bn_action": "bernstein",
+    "canonical_json": "core",
+    "classify": "core",
+    "decode_code": "codes",
+    "decode_shifted": "shifted",
+    "encode_code": "codes",
+    "encode_shifted": "shifted",
+    "exponent_straighten": "oracle",
+    "is_partition": "core",
+    "is_strict_partition": "core",
+    "lambda_bracket": "qvertex",
+    "lambda_bracket_shifted": "shifted",
+    "lambda_sup": "bernstein",
+    "negate": "core",
+    "parse_index": "core",
+    "preshift": "shifted",
+    "q_series_i_form": "qvertex",
+    "q_series_j_form": "qvertex",
+    "r_index": "bernstein",
+    "reading_straighten": "codes",
+    "reduce_word": "codes",
+    "render_index": "core",
+    "schur_poly": "oracle",
+    "shifted_straighten": "shifted",
+    "staircase": "oracle",
+    "straighten_B": "codes",
+    "straighten_Y_code": "qvertex",
+    "straighten_Y_perm": "qvertex",
+    "straighten_code": "codes",
+    "vandermonde_product": "oracle",
+    "yn_action": "qvertex",
+}
+
+__all__ = list(_HOME)
 
 
-def __getattr__(name):  # verify is imported on first use, so a CLI start skips it
-    if name not in ("SUITES", "VerifyReport"):
+def __getattr__(name):
+    """Import the module that defines a public name, on its first use."""
+    if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import verify
-    return getattr(verify, name)
+    # __import__, unlike importlib.import_module, shows in python -X importtime
+    module = __import__(f"{__name__}.{_HOME[name]}", fromlist=(name,))
+    value = getattr(module, name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

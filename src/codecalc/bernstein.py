@@ -8,8 +8,6 @@ is indexed by i >= 1 via the sup-indexes lambda^(i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     Composition,
     DomainError,
@@ -17,6 +15,7 @@ from .core import (
     SERIES_MAX,
     SignedIndexResult,
     ZERO,
+    _Value,
     check_int,
     is_partition,
     signed_result,
@@ -90,15 +89,17 @@ def r_index(lam, i: int) -> int:
     return word[:idx].count("R")
 
 
-@dataclass(frozen=True)
-class SeriesTerm:
+class SeriesTerm(_Value):
     """One term of an operator series: sign * t**t_exp attached to an index."""
 
-    family: str
-    i: int
-    t_exp: int
-    sign_exp: int
-    index: Composition
+    __slots__ = __match_args__ = ("family", "i", "t_exp", "sign_exp", "index")
+
+    def __init__(self, family: str, i: int, t_exp: int, sign_exp: int, index: Composition) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "t_exp", t_exp)
+        object.__setattr__(self, "sign_exp", sign_exp)
+        object.__setattr__(self, "index", index)
 
     @property
     def sign(self) -> int:

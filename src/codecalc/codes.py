@@ -24,14 +24,13 @@ the two styles; it fixes the origin offset and the minimum row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     Composition,
     InternalInvariantError,
     InvalidCodeError,
     SignedIndexResult,
     ZERO,
+    _Value,
     signed_result,
     validate_composition,
 )
@@ -88,18 +87,17 @@ def _decode_letters(seq, shift: int = 0) -> Composition:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class CodeWord:
+class CodeWord(_Value):
     """A reduced finite code word whose rows are all at least ``shift``.
 
     ``shift`` is 0 here (plain words, rows >= 0); ShiftedCodeWord sets it to 1.
     """
 
-    letters: str
+    __slots__ = __match_args__ = ("letters",)
     shift = 0  # class constant, not a field
 
-    def __post_init__(self) -> None:
-        w = self.letters
+    def __init__(self, letters: str) -> None:
+        w = letters
         if reduce_word(w) != w:
             raise InvalidCodeError(f"word {w!r} is not reduced")
         if w:
@@ -110,6 +108,7 @@ class CodeWord:
         if any(p < self.shift for p in _decode_letters(w, self.shift)):
             below = "has a row below 1" if self.shift else "has a negative row"
             raise InvalidCodeError(f"word {w!r} {below}")
+        object.__setattr__(self, "letters", w)
 
     @property
     def rows(self) -> int:
@@ -123,6 +122,7 @@ class CodeWord:
 class ShiftedCodeWord(CodeWord):
     """A reduced finite shifted-code word whose rows are all positive."""
 
+    __slots__ = ()
     shift = 1
 
 

@@ -9,8 +9,6 @@ rewriting the code word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     Composition,
     DomainError,
@@ -18,6 +16,7 @@ from .core import (
     SERIES_MAX,
     SignedIndexResult,
     ZERO,
+    _Value,
     check_int,
     is_strict_partition,
     signed_result,
@@ -107,15 +106,17 @@ def lambda_bracket(lam, i: int) -> Composition:
     return _bracket_by_code(word, _rr_pairs(word), i)
 
 
-@dataclass(frozen=True)
-class QSeriesTerm:
+class QSeriesTerm(_Value):
     """One term of the strict-side operator series: sign * t**n on an index."""
 
-    n: int
-    j: int
-    i: int
-    sign_exp: int
-    index: Composition
+    __slots__ = __match_args__ = ("n", "j", "i", "sign_exp", "index")
+
+    def __init__(self, n: int, j: int, i: int, sign_exp: int, index: Composition) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "sign_exp", sign_exp)
+        object.__setattr__(self, "index", index)
 
     @property
     def sign(self) -> int:

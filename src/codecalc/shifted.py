@@ -55,6 +55,8 @@ def shifted_straighten(word: ShiftedCodeWord | str) -> SignedIndexResult:
 class PreshiftedWord(ShiftedCodeWord):
     """Letters following the conceptual infinite staircase prefix ...ULULU."""
 
+    __slots__ = ()
+
     def strip_prefix(self) -> ShiftedCodeWord:
         """Drop the conceptual prefix, leaving the finite shifted word."""
         return _built(ShiftedCodeWord, self.letters)

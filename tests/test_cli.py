@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -320,6 +321,51 @@ def test_cli_start_does_not_import_verify():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "-1 * B[2,2]\nFalse\n"
+
+
+def _start(body):
+    """Run body in a fresh interpreter: its stdout lines, and the modules it
+    loaded that a bare interpreter does not, so site-installed extras do not count."""
+
+    def run(code):
+        script = f"import sys\n{code}\nprint(*sorted(sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        *out, modules = proc.stdout.splitlines()
+        return out, set(modules.split())
+
+    out, loaded = run(body)
+    return out, loaded - run("pass")[1]
+
+
+def test_cold_bench_start_imports_only_core_and_codes():
+    cold = str(Path(__file__).resolve().parents[1] / "bench" / "cold.py")
+    out, new = _start(
+        "sys.argv[1:] = ['1,3']\n"
+        f"with open({cold!r}) as f:\n"
+        f"    exec(compile(f.read(), {cold!r}, 'exec'), {{'__name__': '__main__'}})"
+    )
+    assert out == ['{"index":[2,2],"sign":-1}']
+    assert {m for m in new if m.split(".")[0] == "codecalc"} == {
+        "codecalc",
+        "codecalc.core",
+        "codecalc.codes",
+    }
+    assert not new & {"dataclasses", "inspect"}
+
+
+def test_cli_start_imports_neither_dataclasses_nor_verify():
+    out, new = _start(
+        "import runpy\n"
+        "sys.argv[1:] = ['straighten', '--algebra', 'b', '1,3']\n"
+        "try:\n"
+        "    runpy.run_module('codecalc', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as stop:\n"
+        "    assert stop.code == 0"
+    )
+    assert out == ["-1 * B[2,2]"]
+    assert "codecalc.cli" in new
+    assert not new & {"dataclasses", "inspect", "codecalc.verify"}
 
 
 def test_parser_is_built_once():

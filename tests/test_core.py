@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+import re
+
 import pytest
 
+import codecalc
 from codecalc import core
 
 
@@ -28,6 +33,14 @@ def test_signed_result_rejects_bad_values():
         core.SignedIndexResult(2, (1,))
     with pytest.raises(core.DomainError):
         core.SignedIndexResult(0, (1,))  # zero carries no index
+
+
+def test_signed_result_stores_the_index_as_a_tuple():
+    assert core.SignedIndexResult(0, []) == core.ZERO
+    listed = core.SignedIndexResult(1, [3, 2])
+    assert listed.index == (3, 2) and type(listed.index) is tuple
+    assert listed == core.SignedIndexResult(1, (3, 2))
+    assert hash(listed) == hash(core.SignedIndexResult(1, (3, 2)))
 
 
 def test_signed_result_rejects_bool_entries():
@@ -114,3 +127,51 @@ def test_canonical_json_is_stable():
     import json
 
     assert core.canonical_json(json.loads(out)) == out
+
+
+# One value of each value type, with its repr as the frozen dataclasses printed it.
+VALUES = [
+    (core.SignedIndexResult(1, (3, 2)), "SignedIndexResult(sign=1, index=(3, 2))"),
+    (core.ZERO, "SignedIndexResult(sign=0, index=())"),
+    (codecalc.encode_code((1, 3)), "CodeWord(letters='RRRULLU')"),
+    (codecalc.encode_shifted((3, 1)), "ShiftedCodeWord(letters='URU')"),
+    (codecalc.preshift(codecalc.encode_code((3, 1))), "PreshiftedWord(letters='URU')"),
+    (
+        codecalc.bernstein_series((2, 1), 2)[1],
+        "SeriesTerm(family='schur', i=2, t_exp=0, sign_exp=1, index=(1, 1, 1))",
+    ),
+    (
+        codecalc.q_series_i_form((3, 1), 2)[2],
+        "QSeriesTerm(n=4, j=0, i=2, sign_exp=0, index=(4, 3, 1))",
+    ),
+]
+VALUE_IDS = "SignedIndexResult ZERO CodeWord ShiftedCodeWord PreshiftedWord SeriesTerm QSeriesTerm"
+
+
+@pytest.mark.parametrize("value,golden", VALUES, ids=VALUE_IDS.split())
+def test_value_types_keep_the_dataclass_contract(value, golden):
+    assert repr(value) == golden
+    cls = type(value)
+    rebuilt = eval(golden, {cls.__name__: cls})  # the repr's keywords build an equal value
+    assert rebuilt is not value and rebuilt == value and hash(rebuilt) == hash(value)
+
+    class Twin(cls):  # the same fields under another type are unequal
+        __slots__ = ()
+
+    twin = eval(golden.replace(cls.__name__, "Twin", 1), {"Twin": Twin})
+    assert twin != value and value != twin
+
+    for name in re.findall(r"(\w+)=", golden):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+
+    for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(copied) is cls and copied == value and hash(copied) == hash(value)
+
+
+def test_value_types_differ_by_fields():
+    values = [value for value, _ in VALUES]
+    assert all(a != b for i, a in enumerate(values) for b in values[i + 1 :])
+    assert len(set(values)) == len(values)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import types
 
 import pytest
 
@@ -41,10 +43,17 @@ def test_args_the_op_cannot_take_are_a_recorded_failure(tmp_path, args, error):
     ]
 
 
-def test_package_serves_the_verify_names_on_first_use():
+def test_package_serves_every_public_name_on_first_use():
+    for name in codecalc.__all__:
+        value = getattr(codecalc, name)
+        home = sys.modules[f"codecalc.{codecalc._HOME[name]}"]
+        assert value is getattr(home, name)
+        if isinstance(value, (type, types.FunctionType)):
+            assert value.__module__ == home.__name__  # the module that defines it
+    assert set(codecalc.__all__) <= set(dir(codecalc))
     namespace = {}
     exec("from codecalc import *", namespace)
+    assert all(namespace[name] is getattr(codecalc, name) for name in codecalc.__all__)
     assert namespace["SUITES"] is verify.SUITES
-    assert namespace["VerifyReport"] is verify.VerifyReport
     with pytest.raises(AttributeError):
         codecalc.no_such_name
