@@ -6,8 +6,6 @@ word by turning one R into a U.  The series expansion of the operator product
 is indexed by i >= 1 via the sup-indexes lambda^(i).
 """
 
-from __future__ import annotations
-
 from .core import (
     Composition,
     DomainError,
@@ -79,14 +77,7 @@ def r_index(lam, i: int) -> int:
     check_int(i, "row position", 1)
     if i > len(lam):
         return 0
-    word = encode_code(lam).letters
-    count = 0
-    for idx in range(len(word) - 1, -1, -1):
-        if word[idx] == "U":
-            count += 1
-            if count == i:
-                break
-    return word[:idx].count("R")
+    return encode_code(lam).letters.rsplit("U", i)[0].count("R")
 
 
 class SeriesTerm(_Value):

@@ -5,8 +5,6 @@ for the memory available, 2 when an internal invariant check fails.  Output is p
 CODECALC_FORMAT environment variable) switches to canonical one-line JSON.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import os

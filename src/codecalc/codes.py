@@ -13,7 +13,9 @@ Straightening rewrites a word containing L's (rows out of order) into either
 the zero result or a signed word without L's (a partition), by repeatedly
 exchanging the leftmost L-run with a letter to its left.  One loop applies the
 step of every rule in ``RULES`` (plain, shifted, Q, reading); the
-straighteners sum it, and verify checks each word it yields.
+straighteners sum it, and verify checks each word it yields.  A word is a
+``str`` from end to end: a step(letters: str, shift) returns its new letters
+as a ``str``, and so do the encoders and the reduction.
 
 A shifted word (Schur-Q side, strict indexes with positive rows) is the same
 kind of word read with its rows offset by a staircase: the k-th U from the
@@ -21,8 +23,6 @@ left sits k columns further right, so its row is the plain row plus k.  The
 class constant ``shift`` (0 plain, 1 shifted) is the only difference between
 the two styles; it fixes the origin offset and the minimum row.
 """
-
-from __future__ import annotations
 
 from .core import (
     Composition,
@@ -38,15 +38,20 @@ from .core import (
 ALPHABET = frozenset("RLU")
 
 
-def _reduce(seq) -> list[str]:
-    """Cancel adjacent RL / LR pairs in one left-to-right pass."""
-    out: list[str] = []
+def _reduce(seq) -> str:
+    """Cancel adjacent RL / LR pairs in one left-to-right pass: U's never
+    cancel, so each stretch between them reduces to its net R's or L's."""
+    out = ""
+    net = 0
     for ch in seq:
-        if out and ch != "U" and out[-1] != "U" and out[-1] != ch:
-            out.pop()
+        if ch == "U":
+            out += ("R" * net if net >= 0 else "L" * -net) + "U"
+            net = 0
+        elif ch == "R":
+            net += 1
         else:
-            out.append(ch)
-    return out
+            net -= 1
+    return out + ("R" * net if net >= 0 else "L" * -net)
 
 
 def _check_alphabet(letters) -> None:
@@ -62,7 +67,7 @@ def reduce_word(letters: str) -> str:
     order reach the same word.
     """
     _check_alphabet(letters)
-    return "".join(_reduce(letters))
+    return _reduce(letters)
 
 
 def _decode_letters(seq, shift: int = 0) -> Composition:
@@ -160,11 +165,11 @@ def _encode(cls, parts: Composition):
     parts = validate_composition(parts, minimum=s)
     if not parts:
         return _built(cls, "")
-    chunks = ["R" * (parts[-1] - s) + "U"]
+    letters = "R" * (parts[-1] - s) + "U"
     for i in range(len(parts) - 2, -1, -1):
         step = parts[i] - parts[i + 1] - s
-        chunks.append(("R" * step if step >= 0 else "L" * -step) + "U")
-    return _built(cls, "".join(chunks))
+        letters += ("R" * step if step >= 0 else "L" * -step) + "U"
+    return _built(cls, letters)
 
 
 def _decode(cls, word) -> Composition:
@@ -205,55 +210,43 @@ def _replace_ith_r(word: str, i: int, shift: int = 0) -> Composition:
     return _splice_u(word, idx, shift)
 
 
-def _reduce_and_trim(seq) -> list[str]:
-    """Reduce a letter list and drop trailing L's (they cancel into the R-tail)."""
-    out = _reduce(seq)
-    while out and out[-1] == "L":
-        out.pop()
-    return out
-
-
-def _leftmost_run(word: list[str]) -> tuple[int, int]:
+def _leftmost_run(word: str) -> tuple[int, int]:
     """Start index and length of the leftmost maximal L-run (word holds an L).
 
     A U must close the run; anything else is a broken rewrite.
     """
     p = word.index("L")
-    k = p
-    while k < len(word) and word[k] == "L":
-        k += 1
-    if k == len(word) or word[k] != "U":
-        raise InternalInvariantError(f"L-run not followed by U in {''.join(word)!r}")
-    return p, k - p
+    rest = word[p:].lstrip("L")
+    if rest[:1] != "U":
+        raise InternalInvariantError(f"L-run not followed by U in {word!r}")
+    return p, len(word) - p - len(rest)
 
 
-def _exchange_step(word: list[str], shift: int):
+def _exchange_step(word: str, shift: int):
     """One straightening exchange at the leftmost L-run (length k, start p).
 
     The letter k positions left of the run is examined: a U there annihilates
     the whole product, and so does a run reaching past a plain word, into its
     U-prefix; past a shifted word (``shift`` 1) the run is an invalid word.
     An R there becomes a U, the run shrinks by one L, and the sign picks up
-    one flip per U strictly between that letter and the run.
+    one flip per U strictly between that letter and the run.  Trailing L's
+    of the new word cancel into the R-tail.
     """
     p, k = _leftmost_run(word)
     t = p - k
     if t < 0:
         if not shift:
             return None
-        raise InvalidCodeError(
-            f"run of {k} L's reaches past the start of {''.join(word)!r}"
-        )
+        raise InvalidCodeError(f"run of {k} L's reaches past the start of {word!r}")
     if word[t] == "U":
         return None
     if word[t] != "R":
         raise InternalInvariantError(f"unexpected letter {word[t]!r} left of the run")
-    exponent = word[t + 1 : p].count("U")
-    new = word[:t] + ["U"] + word[t + 1 : p] + ["L"] * (k - 1) + word[p + k + 1 :]
-    return exponent, _reduce_and_trim(new)
+    new = word[:t] + "U" + word[t + 1 : p] + "L" * (k - 1) + word[p + k + 1 :]
+    return word.count("U", t + 1, p), _reduce(new).rstrip("L")
 
 
-def _q_exchange_step(word: list[str], shift: int):
+def _q_exchange_step(word: str, shift: int):
     """One strict-index (Q) exchange at the leftmost L-run of a plain word.
 
     Walks left from the run to the k-th R; the stored letter before that R
@@ -263,23 +256,15 @@ def _q_exchange_step(word: list[str], shift: int):
     once per letter skipped between the k-th R and the run beyond those k R's.
     """
     p, k = _leftmost_run(word)
-    q = p - 1
-    seen = 0
-    while q >= 0:
-        if word[q] == "R":
-            seen += 1
-            if seen == k:
-                break
-        q -= 1
-    if seen < k:
-        raise InternalInvariantError(
-            f"fewer than {k} R's left of the run in {''.join(word)!r}"
-        )
-    exponent = (p - q) - k
+    q = p
+    for _ in range(k):
+        q = word.rfind("R", 0, q)
+        if q < 0:
+            raise InternalInvariantError(f"fewer than {k} R's left of the run in {word!r}")
     if q > 0 and word[q - 1] == "U":
         return None
-    new = word[:q] + ["U"] + word[q : p + k] + word[p + k + 1 :]
-    return exponent, _reduce_and_trim(new)
+    new = word[:q] + "U" + word[q : p + k] + word[p + k + 1 :]
+    return (p - q) - k, _reduce(new).rstrip("L")
 
 
 def _check_straight(start: Composition, rows: Composition, shift: int, word) -> None:
@@ -295,40 +280,37 @@ def _check_straight(start: Composition, rows: Composition, shift: int, word) -> 
         or any(rows[i] - rows[i + 1] < shift for i in range(len(rows) - 1))
         or (rows and rows[-1] < shift)
     ):
-        raise InternalInvariantError(
-            f"straightening broke row count, total or order: {''.join(word)!r}"
-        )
+        raise InternalInvariantError(f"straightening broke row count, total or order: {word!r}")
 
 
-def _reading_step(word: list[str], shift: int):
+def _reading_step(word: str, shift: int):
     """One reading pass from the leftmost L of a plain, maybe unreduced word.
 
-    Letters are deleted as they are read (R's past the word), while a cursor
-    tracks the net position until it is back at the reading position.  A U
-    read with the cursor on a U (or in the U-prefix) annihilates; on an R it
-    rewrites that R to a U, with one sign flip per U between them.
+    The letters from that L on are read and dropped (R's past the word),
+    while a cursor tracks the net position until it is back at the reading
+    position.  A U read with the cursor on a U (or in the U-prefix)
+    annihilates; on an R it rewrites that R to a U, with one sign flip per U
+    between them.  The cursor stays in the prefix left of the first L, which
+    holds only R's and U's, so only that prefix is rewritten.
     """
-    w = list(word)  # a new list: no step changes the word it is given
-    r = c = w.index("L")
+    r = c = word.index("L")
+    prefix = word[:r]
     exponent = 0
-    while True:
-        ch = w.pop(r) if r < len(w) else "R"
+    for i in range(r, len(word)):
+        ch = word[i]
         if ch == "U":
-            if c < 0 or w[c] == "U":
+            if c < 0 or prefix[c] == "U":
                 return None
-            if w[c] != "R":
-                raise InternalInvariantError(
-                    f"cursor on {w[c]!r} while reading a U in {''.join(w)!r}"
-                )
-            exponent += w[c + 1 : r].count("U")
-            w[c] = "U"
+            exponent += prefix.count("U", c + 1)
+            prefix = prefix[:c] + "U" + prefix[c + 1 :]
         c += -1 if ch == "L" else 1
         if c == r:
-            return exponent, w
+            return exponent, prefix + word[i + 1 :]
+    return exponent, prefix  # the R-tail brings the cursor back
 
 
-# rule name -> (word type, step).  A step(letters, the type's shift) returns
-# None on annihilation, else (sign exponent, new word).
+# rule name -> (word type, step).  A step(letters: str, the type's shift)
+# returns None on annihilation, else (sign exponent, new letters).
 RULES = {
     "plain": (CodeWord, _exchange_step),
     "shifted": (ShiftedCodeWord, _exchange_step),
@@ -337,7 +319,7 @@ RULES = {
 }
 
 
-def _exchanges(letters: list[str], rule: str):
+def _exchanges(letters: str, rule: str):
     """The one exchange loop: apply ``rule``'s step until no L remains,
     yielding each step's result (None, once, on annihilation)."""
     cls, step = RULES[rule]
@@ -349,7 +331,7 @@ def _exchanges(letters: list[str], rule: str):
         letters = out[1]
 
 
-def _sum_exchanges(letters: list[str], rule: str):
+def _sum_exchanges(letters: str, rule: str):
     """Sum the exchange loop over letters: None on annihilation, else (total
     sign exponent, final rows), the final word checked once."""
     shift = RULES[rule][0].shift
@@ -370,7 +352,7 @@ def _sum_exchanges(letters: list[str], rule: str):
 def straighten_code_trace(word, rule: str = "plain"):
     """Straighten a word of ``rule``'s type (a name in RULES) by the exchange
     loop: None on annihilation, else (total sign exponent, final rows)."""
-    return _sum_exchanges(list(_as_word(RULES[rule][0], word).letters), rule)
+    return _sum_exchanges(_as_word(RULES[rule][0], word).letters, rule)
 
 
 def _signed(out) -> SignedIndexResult:
@@ -391,9 +373,9 @@ def straighten_B(parts: Composition) -> SignedIndexResult:
 def reading_straighten_trace(word: CodeWord | str):
     """straighten_code_trace by the reading rule, which also takes words that
     are not reduced (only the alphabet is checked)."""
-    letters = list(word.letters if isinstance(word, CodeWord) else word)
+    letters = word.letters if isinstance(word, CodeWord) else word
     _check_alphabet(letters)
-    return _sum_exchanges(letters, "reading")
+    return _sum_exchanges("".join(letters), "reading")  # a letter list joins once
 
 
 def reading_straighten(word: CodeWord | str) -> SignedIndexResult:

@@ -4,8 +4,6 @@ Every straightening routine in this package returns a :class:`SignedIndexResult`
 either the zero result, or a sign in {+1, -1} attached to a tuple of row lengths.
 """
 
-from __future__ import annotations
-
 import json
 
 Composition = tuple[int, ...]

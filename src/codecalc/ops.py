@@ -4,8 +4,6 @@ Each op name maps to its public callable, its argument names and the key its
 value is stored under in the JSON result (``None``: the value's ``to_dict()``).
 """
 
-from __future__ import annotations
-
 from . import bernstein, codes, oracle, qvertex, shifted
 from .core import classify, parse_index
 

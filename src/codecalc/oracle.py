@@ -6,8 +6,6 @@ of monomials exactly over the integers and divides them.  Both exist so the
 code-word routes can be checked against genuinely different arithmetic.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import permutations
 

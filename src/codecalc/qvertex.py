@@ -7,8 +7,6 @@ computed two independent ways: by counting out-of-order pairs directly, and by
 rewriting the code word.
 """
 
-from __future__ import annotations
-
 from .core import (
     Composition,
     DomainError,

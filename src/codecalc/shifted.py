@@ -8,8 +8,6 @@ followed by R's only.  The word format and the exchange driver live in
 (plain code -> shifted code) and the shifted bracket-index.
 """
 
-from __future__ import annotations
-
 from .core import (
     Composition,
     DomainError,

@@ -16,8 +16,6 @@ output re-validated through the public word constructors (op
 anticommutation and the polynomial identities.
 """
 
-from __future__ import annotations
-
 import json
 import random
 import time
@@ -102,13 +100,13 @@ def _replay(letters: str, rule: str):
     rows = codes._decode_letters(letters, shift)
     nrows, size = len(rows), sum(rows)
     steps = 0
-    for out in codes._exchanges(list(letters), rule):
+    for out in codes._exchanges(letters, rule):
         if out is None:
             break
         steps += 1
         rows = codes._decode_letters(out[1], shift)
         if len(rows) != nrows or sum(rows) != size or any(r < shift for r in rows):
-            return steps, {"step": steps, "letters": "".join(out[1]), "rows": list(rows)}
+            return steps, {"step": steps, "letters": out[1], "rows": list(rows)}
     return steps, None
 
 
@@ -233,31 +231,22 @@ def verify_codes(max_part: int = 4, max_len: int = 3) -> VerifyReport:
             codes.reduce_word(reduced),
         )
         # cancelling adjacent RL/LR pairs in any order reaches the same word
-        letters = list(raw)
+        letters = raw
         while True:
-            pairs = [
-                i
-                for i in range(len(letters) - 1)
-                if letters[i] + letters[i + 1] in ("RL", "LR")
-            ]
+            pairs = [i for i in range(len(letters) - 1) if letters[i : i + 2] in ("RL", "LR")]
             if not pairs:
                 break
             i = rng.choice(pairs)
-            del letters[i : i + 2]
-        report.check(
-            {"op": "reduce_any_order", "case": case, "letters": raw},
-            reduced,
-            "".join(letters),
-        )
+            letters = letters[:i] + letters[i + 2 :]
+        report.check({"op": "reduce_any_order", "case": case, "letters": raw}, reduced, letters)
     for case in range(500):
         # reading_straighten tolerates non-reduced words
         length = rng.randrange(0, 4)
         mu = tuple(rng.randrange(0, max_part + 1) for _ in range(length))
-        letters = list(codes.encode_code(mu).letters)
+        raw = codes.encode_code(mu).letters
         for _ in range(rng.randrange(1, 4)):
-            pos = rng.randrange(0, len(letters) + 1)
-            letters[pos:pos] = rng.choice(["RL", "LR"])
-        raw = "".join(letters)
+            pos = rng.randrange(0, len(raw) + 1)
+            raw = raw[:pos] + rng.choice(["RL", "LR"]) + raw[pos:]
         args = {"case": case, "letters": raw, "index": list(mu)}
         with report.guard({"op": "reading_raw", **args}):
             _check_ref(report, "reading_raw", args)

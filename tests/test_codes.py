@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from codecalc import codes, oracle, verify
+from codecalc import codes, ops, oracle, shifted, verify
 from codecalc.core import InvalidCodeError, SignedIndexResult
 
 
@@ -119,6 +119,17 @@ def test_reading_tolerates_raw_words():
             pos = rng.randrange(0, len(letters) + 1)
             letters[pos:pos] = rng.choice(["RL", "LR"])
         assert codes.reading_straighten("".join(letters)) == codes.straighten_B(mu)
+
+
+def test_letter_lists_keep_their_results():
+    # a JSON list of letters (say, from a corpus line) reads as the same word
+    # on the reading route; the routes that take reduced words reject a list
+    letters = list("RRULLUU")
+    assert codes.reading_straighten(letters).is_zero
+    assert ops.run("reading_straighten", {"letters": letters}) == {"zero": True}
+    for route in (codes.straighten_code, codes.decode_code, shifted.preshift):
+        with pytest.raises(InvalidCodeError, match="is not reduced"):
+            route(letters)
 
 
 def test_triple_agreement_small_sweep():

@@ -98,6 +98,35 @@ def test_op_agrees_with_its_reference(check):
     agree()
 
 
+# encoded words per rule of codes.RULES; the reading rule also takes unreduced words
+RULE_WORDS = {
+    "plain": indexes.map(lambda mu: codes.encode_code(mu).letters),
+    "shifted": positive_indexes.map(lambda mu: shifted.encode_shifted(mu).letters),
+    "q": indexes.map(lambda mu: codes.encode_code(mu).letters),
+    "reading": OP_ARGS["reading_straighten"].map(lambda args: args["letters"]),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(codes.RULES))
+def test_every_rule_step_yields_a_str_word(rule):
+    # the straightening rules keep each word reduced with no trailing L (those
+    # cancel into the R-tail); the reading rule keeps the alphabet only
+    @_SETTINGS
+    @given(RULE_WORDS[rule])
+    def steps(letters):
+        for out in codes._exchanges(letters, rule):
+            if out is None:
+                break
+            word = out[1]
+            assert type(word) is str
+            if rule == "reading":
+                assert set(word) <= codes.ALPHABET
+            else:
+                assert codes.reduce_word(word) == word and not word.endswith("L")
+
+    steps()
+
+
 @_SETTINGS
 @given(partitions, st.integers(-14, 70))
 def test_b_action_is_its_series_term(lam, n):

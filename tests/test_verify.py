@@ -27,7 +27,7 @@ def _wrong_bracket(real):
 def _extra_row(real):
     def step(word, shift):
         out = real(word, shift)
-        return out if out is None else (out[0], out[1] + ["U"])
+        return out if out is None else (out[0], out[1] + "U")
 
     return step
 
