@@ -1,8 +1,9 @@
 """Command-line interface: encode/decode, straighten, act, series, verify.
 
 Exit codes: 0 on success, 1 on usage or domain errors and on inputs too large
-for the memory available, 2 when an internal invariant check fails.  Output is plain text by default; --format json (or the
-CODECALC_FORMAT environment variable) switches to canonical one-line JSON.
+for the memory available, 2 when an internal invariant check fails.  Output is
+plain text by default; --format json (or the CODECALC_FORMAT environment
+variable) switches to canonical one-line JSON.
 """
 
 import argparse
@@ -21,6 +22,7 @@ from .core import (
     check_int,
     parse_index,
     render_index,
+    validate_composition,
 )
 
 # verify.SUITES' names, spelled out so that a CLI start does not import verify
@@ -113,6 +115,8 @@ def _cmd_straighten(args) -> int:
         raise ParseError(
             f"method {args.method!r} is not available with --algebra {args.algebra}"
         )
+    if args.algebra == "b":
+        validate_composition(mu)  # B rows are nonnegative for every method, the oracle too
     results = {}
     for name, (op, encoder) in chosen.items():
         op_args = ops.run(encoder, {"index": mu}) if encoder else {"index": mu}

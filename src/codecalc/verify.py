@@ -1,25 +1,25 @@
 """Deterministic verification sweeps, shared by the test suite and the CLI.
 
-Each suite enumerates its inputs in a fixed order (randomised checks use a
-fixed seed), records mismatches as JSON-ready failure dicts, and returns a
-VerifyReport.  The corpus suite replays a JSON-lines file of worked examples
-through the op table the CLI runs too (``ops.run``).
+A sweep enumerates its cases in a fixed order (randomised checks use a fixed
+seed) as (check name, args) pairs, and ``_check`` runs each one.  A check name
+is a key of exactly one of two tables.  ``REFERENCES`` names the op of
+``ops.OPS`` and the independent route its JSON result must equal: the public
+operations compute each answer once, by the code route, and this is where
+the second routes are compared with it.  ``LAWS`` maps each law with no
+second route to a function of the args returning (expected, got).
 
-The public operations compute each answer once, by the code route; this
-module is where the independent routes are compared with it.  ``REFERENCES``
-names, once, the reference route each op of ``ops.OPS`` is checked against;
-the suites compare the two through ``_check_ref``.  The laws with no second
-route are checked in place: the plain, Q and shifted rules replayed one step
-at a time by the library's own loop (op ``step_invariants``), every encoder
-output re-validated through the public word constructors (op
-``encode_valid``), round trips, reduction, vanishing degrees, series shape,
-anticommutation and the polynomial identities.
+A case fails when the two differ or the check raises a CalcError; it is then
+recorded as a JSON-ready dict whose ``input`` is the check name (as ``op``)
+with the args.  Every entry recomputes its answer from the args alone, so
+``_check(VerifyReport(suite), op, args)`` on a failure's input minus ``op``
+records the same failure again.  The corpus suite replays a JSON-lines file
+of worked examples through the op table the CLI runs too (``ops.run``).
 """
 
+import functools
 import json
 import random
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import combinations, combinations_with_replacement, product
@@ -61,16 +61,6 @@ class VerifyReport:
         if expected != got:
             self.fail(input_, expected, got)
 
-    @contextmanager
-    def guard(self, input_):
-        """Record a CalcError raised while checking input_ as one failed case,
-        so a broken route shows up as failures rather than ending the sweep."""
-        try:
-            yield
-        except CalcError as exc:
-            self.cases += 1
-            self.fail(input_, "no error", f"{type(exc).__name__}: {exc}")
-
 
 def compositions(max_part: int, max_len: int, min_part: int = 0):
     """Every tuple of length <= max_len with entries in min_part..max_part."""
@@ -108,6 +98,14 @@ def _replay(letters: str, rule: str):
         if len(rows) != nrows or sum(rows) != size or any(r < shift for r in rows):
             return steps, {"step": steps, "letters": out[1], "rows": list(rows)}
     return steps, None
+
+
+@functools.lru_cache(maxsize=1)
+def _shared(fn, *args):
+    """fn(*args), computed once for the consecutive cases that read it: a word's
+    replay (step_invariants, step_bound) or a partition's j-form (series_forms,
+    series_strict).  Every sweep run starts with it empty."""
+    return fn(*args)
 
 
 def _sup_closed(lam, i: int):
@@ -172,262 +170,277 @@ REFERENCES = {
 }
 
 
-def _check_ref(report: VerifyReport, check: str, args: dict) -> None:
-    """One case of ``check``: its op's JSON result on args against its reference."""
-    op, reference = REFERENCES[check]
-    report.check({"op": check, **args}, reference(args), ops.run(op, args))
-
-
-def _check_word(report: VerifyReport, mu, word, decode, rule: str) -> int:
-    """Encoder validity, round trip and per-step ``rule`` invariants of the
-    word an encoder built for mu; returns the number of exchange steps."""
-    letters = word.letters
+def _encode_valid(args):
+    """The public constructor of the rule's word type accepts the encoder's letters."""
     try:
-        codes.RULES[rule][0](letters)  # the public constructor must accept the encoder's letters
-        valid = True
+        codes.RULES[args["rule"]][0](args["letters"])
     except InvalidCodeError as exc:
-        valid = str(exc)
-    report.check({"op": "encode_valid", "index": list(mu)}, True, valid)
-    report.check({"op": "round_trip", "index": list(mu)}, list(mu), list(decode(word)))
-    return _check_steps(report, mu, letters, rule)
+        return True, str(exc)
+    return True, True
 
 
-def _check_steps(report: VerifyReport, mu, letters: str, rule: str) -> int:
-    """Replay ``rule`` on letters, checking every step's word (op step_invariants)."""
-    if "L" not in letters:
-        return 0
-    steps, bad = _replay(letters, rule)
-    report.check({"op": "step_invariants", "rule": rule, "index": list(mu)}, None, bad)
-    return steps
+def _round_trip(args):
+    """The encoder's letters, as a word of the rule's type, decode to the index."""
+    cls = codes.RULES[args["rule"]][0]
+    return args["index"], list(codes._decode(cls, codes._built(cls, args["letters"])))
 
 
-def verify_codes(max_part: int = 4, max_len: int = 3) -> VerifyReport:
+def _step_bound(args):
+    """The exchange-step count is bounded by the U's right of the leftmost L."""
+    letters = args["letters"]
+    steps = _shared(_replay, letters, args["rule"])[0]
+    return True, steps <= letters[letters.index("L") :].count("U")
+
+
+def _cancel_any_order(args):
+    """The reduced word against RL / LR pairs cancelled in a random order seeded by the word."""
+    raw = letters = args["letters"]
+    rng = random.Random(raw)
+    while pairs := [i for i in range(len(letters) - 1) if letters[i : i + 2] in ("RL", "LR")]:
+        i = rng.choice(pairs)
+        letters = letters[:i] + letters[i + 2 :]
+    return codes.reduce_word(raw), letters
+
+
+def _sup_index(args):
+    """The i-th sup-index is a partition of size |lam| + i - 1 - (rows >= i)."""
+    lam, i = args["index"], args["i"]
+    sup = bernstein.lambda_sup(tuple(lam), i)
+    expected = {"size": sum(lam) + i - 1 - sum(1 for p in lam if p >= i), "partition": True}
+    return expected, {"size": sum(sup), "partition": classify(sup) != "general"}
+
+
+def _vanishing(lam) -> set:
+    """The degrees n >= -len(lam) at which B_n kills s_lam: lam_j - j."""
+    return {p - j for j, p in enumerate(lam, 1)}
+
+
+def _window(args):
+    return bernstein.bernstein_series_window(tuple(args["index"]), args["n_max"])
+
+
+def _series_forms(args):
+    """The j-form equals the i-form's terms in the window n <= n_max."""
+    lam, n_max = tuple(args["index"]), args["n_max"]
+    in_window = [t for t in qvertex.q_series_i_form(lam, n_max + len(lam)) if t.n <= n_max]
+    return (
+        [t.to_dict() for t in _shared(qvertex.q_series_j_form, lam, n_max)],
+        sorted((t.to_dict() for t in in_window), key=lambda d: d["t_exp"]),
+    )
+
+
+def _preshift_zero_row(args):
+    """A word with a zero row has no shifted form."""
+    try:
+        shifted.preshift(codes.encode_code(tuple(args["index"])))
+    except DomainError:
+        return "DomainError", "DomainError"
+    return "DomainError", "no error"
+
+
+def _exchange(args):
+    """Swapping two neighbouring exponents negates the bialternant."""
+    exps, i = args["exponents"], args["i"]
+    swapped = exps[:i] + [exps[i + 1], exps[i]] + exps[i + 2 :]
+    return True, oracle.bialternant(tuple(swapped)) == -oracle.bialternant(tuple(exps))
+
+
+def _schur_law(args):
+    """s_mu in nvars variables is the signed Schur polynomial straighten_B(mu) names."""
+    mu, nvars = tuple(args["index"]), args["nvars"]
+    result = codes.straighten_B(mu)
+    poly = oracle.schur_poly(mu, nvars)
+    if result.is_zero:
+        return True, poly.is_zero
+    target = oracle.schur_poly(result.index, nvars)
+    return True, poly == (target if result.sign > 0 else -target)
+
+
+# check name -> law: a function of the case's args returning (expected, got).
+# Where a law needs more than an index, the args carry it: the ``rule`` that
+# names a word type, the encoder's ``letters``, a window's ``n_max``, a series
+# ``term`` or the ``nvars`` of a polynomial.
+LAWS = {
+    "encode_valid": _encode_valid,
+    "round_trip": _round_trip,
+    "step_invariants": lambda a: (None, _shared(_replay, a["letters"], a["rule"])[1]),
+    "step_bound": _step_bound,
+    "reduce_idempotent": lambda a: (r := codes.reduce_word(a["letters"]), codes.reduce_word(r)),
+    "reduce_any_order": _cancel_any_order,
+    "sup_index": _sup_index,
+    "vanishing": lambda a: (
+        a["n"] < -len(a["index"]) or a["n"] in _vanishing(a["index"]),
+        bernstein.bn_action(a["n"], tuple(a["index"])).is_zero,
+    ),
+    "window_distinct": lambda a: (len(w := _window(a)), len({t.t_exp for t in w})),
+    "window_exponents": lambda a: (
+        sorted(set(range(-len(a["index"]), a["n_max"] + 1)) - _vanishing(a["index"])),
+        sorted({t.t_exp for t in _window(a)}),
+    ),
+    "anticommute": lambda a: (
+        negate(qvertex.straighten_Y_perm(tuple(a["index"][::-1]))).to_dict(),
+        qvertex.straighten_Y_perm(tuple(a["index"])).to_dict(),
+    ),
+    "yn_zero": lambda a: (
+        a["n"] in a["index"], qvertex.yn_action(a["n"], tuple(a["index"])).is_zero
+    ),
+    "series_forms": _series_forms,
+    "series_strict": lambda a: ("strict-partition", classify(tuple(a["term"]))),
+    "preshift_zero_row": _preshift_zero_row,
+    "vandermonde": lambda a: (
+        True,
+        oracle.bialternant(oracle.staircase(a["nvars"])) == oracle.vandermonde_product(a["nvars"]),
+    ),
+    "exchange": _exchange,
+    "schur_law": _schur_law,
+}
+
+
+def _check(report: VerifyReport, check: str, args: dict) -> None:
+    """Record one case of ``check``, a key of LAWS or REFERENCES, on args; a
+    CalcError raised by the check is recorded as the case's failure."""
+    try:
+        if check in LAWS:
+            expected, got = LAWS[check](args)
+        else:
+            op, reference = REFERENCES[check]
+            expected, got = reference(args), ops.run(op, args)
+    except CalcError as exc:
+        expected, got = "no error", f"{type(exc).__name__}: {exc}"
+    report.check({"op": check, **args}, expected, got)
+
+
+def _sweep(cases):
+    """A verify suite from a generator function of (check, args) pairs: one
+    timed run of ``_check`` over them.  A CalcError raised by the enumeration
+    itself, such as a broken encoder's, ends the run as one more failure."""
+    suite = cases.__name__.removeprefix("verify_")
+
+    @functools.wraps(cases)
+    def run(*ranges, **options) -> VerifyReport:
+        report = VerifyReport(suite)
+        _shared.cache_clear()
+        start = time.perf_counter()
+        try:
+            for check, args in cases(*ranges, **options):
+                _check(report, check, args)
+        except CalcError as exc:
+            report.check({"op": "enumeration"}, "no error", f"{type(exc).__name__}: {exc}")
+        report.seconds = time.perf_counter() - start
+        return report
+
+    return run
+
+
+def _word_cases(rule: str, args: dict):
+    """The laws of an encoder's letters for an index, words of ``rule``'s type."""
+    args = {"rule": rule, **args}
+    yield "encode_valid", args
+    yield "round_trip", args
+    if "L" in args["letters"]:
+        yield "step_invariants", args
+
+
+@_sweep
+def verify_codes(max_part: int = 4, max_len: int = 3):
     """Round trips, encoder validity, reduction properties, per-step exchange
     invariants and three-way straightening agreement."""
-    report = VerifyReport("codes")
-    start = time.perf_counter()
     for mu in compositions(max_part, max_len):
-        with report.guard({"index": list(mu)}):
-            word = codes.encode_code(mu)
-            letters = word.letters
-            steps = _check_word(report, mu, word, codes.decode_code, "plain")
-            if "L" in letters:
-                # exchange-step count is bounded by the U's right of the leftmost L
-                bound = letters[letters.index("L") :].count("U")
-                report.check(
-                    {"op": "step_bound", "index": list(mu)},
-                    True,
-                    steps <= bound,
-                )
-            _check_ref(report, "straighten_code", {"index": list(mu)})
-            _check_ref(report, "reading_straighten", {"index": list(mu), "letters": letters})
+        args = {"index": list(mu), "letters": codes.encode_code(mu).letters}
+        yield from _word_cases("plain", args)
+        if "L" in args["letters"]:
+            yield "step_bound", {"rule": "plain", **args}
+        yield "straighten_code", {"index": list(mu)}
+        yield "reading_straighten", args
     rng = random.Random(0)
     for case in range(2000):
         raw = "".join(rng.choice("RLU") for _ in range(rng.randrange(0, 24)))
-        reduced = codes.reduce_word(raw)
-        report.check(
-            {"op": "reduce_idempotent", "case": case, "letters": raw},
-            reduced,
-            codes.reduce_word(reduced),
-        )
-        # cancelling adjacent RL/LR pairs in any order reaches the same word
-        letters = raw
-        while True:
-            pairs = [i for i in range(len(letters) - 1) if letters[i : i + 2] in ("RL", "LR")]
-            if not pairs:
-                break
-            i = rng.choice(pairs)
-            letters = letters[:i] + letters[i + 2 :]
-        report.check({"op": "reduce_any_order", "case": case, "letters": raw}, reduced, letters)
+        yield "reduce_idempotent", {"case": case, "letters": raw}
+        yield "reduce_any_order", {"case": case, "letters": raw}
     for case in range(500):
         # reading_straighten tolerates non-reduced words
-        length = rng.randrange(0, 4)
-        mu = tuple(rng.randrange(0, max_part + 1) for _ in range(length))
+        mu = tuple(rng.randrange(0, max_part + 1) for _ in range(rng.randrange(0, 4)))
         raw = codes.encode_code(mu).letters
         for _ in range(rng.randrange(1, 4)):
             pos = rng.randrange(0, len(raw) + 1)
             raw = raw[:pos] + rng.choice(["RL", "LR"]) + raw[pos:]
-        args = {"case": case, "letters": raw, "index": list(mu)}
-        with report.guard({"op": "reading_raw", **args}):
-            _check_ref(report, "reading_raw", args)
-    report.seconds = time.perf_counter() - start
-    return report
+        yield "reading_raw", {"case": case, "letters": raw, "index": list(mu)}
 
 
-def verify_bernstein(max_part: int = 4, max_len: int = 3) -> VerifyReport:
+@_sweep
+def verify_bernstein(max_part: int = 4, max_len: int = 3):
     """Action/series consistency, vanishing degrees, sup-indexes and r_index."""
-    report = VerifyReport("bernstein")
-    start = time.perf_counter()
-    for lam in partitions(max_part, max_len):
-        with report.guard({"index": list(lam)}):
-            _check_bernstein(report, lam, max_part, max_len)
-    report.seconds = time.perf_counter() - start
-    return report
-
-
-def _check_bernstein(report: VerifyReport, lam, max_part: int, max_len: int) -> None:
-    l = len(lam)
-    for i in range(1, max_part + max_len + 2):
-        _check_ref(report, "sup_code", {"index": list(lam), "i": i})
-        sup = bernstein.lambda_sup(lam, i)
-        rows_at_least_i = sum(1 for p in lam if p >= i)
-        report.check(
-            {"op": "sup_index", "index": list(lam), "i": i},
-            {"size": sum(lam) + i - 1 - rows_at_least_i, "partition": True},
-            {"size": sum(sup), "partition": classify(sup) != "general"},
-        )
-    for i in range(1, l + 3):
-        _check_ref(report, "r_index", {"index": list(lam), "i": i})
-    vanish = {lam[j] - (j + 1) for j in range(l)}
     n_max = max_part + 2
-    window = bernstein.bernstein_series_window(lam, n_max)
-    by_exp = {t.t_exp: t for t in window}
-    report.check(
-        {"op": "window_distinct", "index": list(lam)},
-        len(window),
-        len(by_exp),
-    )
-    for n in range(-l - 2, n_max + 1):
-        report.check(
-            {"op": "vanishing", "index": list(lam), "n": n},
-            n in vanish or n < -l,
-            bernstein.bn_action(n, lam).is_zero,
-        )
-        _check_ref(report, "series_action", {"index": list(lam), "n": n})
-        if n >= 0:
-            _check_ref(report, "action_straighten", {"index": list(lam), "n": n})
-    report.check(
-        {"op": "window_exponents", "index": list(lam)},
-        sorted(n for n in range(-l, n_max + 1) if n not in vanish),
-        sorted(by_exp),
-    )
+    for lam in partitions(max_part, max_len):
+        index = list(lam)
+        for i in range(1, max_part + max_len + 2):
+            yield "sup_code", {"index": index, "i": i}
+            yield "sup_index", {"index": index, "i": i}
+        for i in range(1, len(lam) + 3):
+            yield "r_index", {"index": index, "i": i}
+        yield "window_distinct", {"index": index, "n_max": n_max}
+        yield "window_exponents", {"index": index, "n_max": n_max}
+        for n in range(-len(lam) - 2, n_max + 1):
+            yield "vanishing", {"index": index, "n": n}
+            yield "series_action", {"index": index, "n": n}
+            if n >= 0:
+                yield "action_straighten", {"index": index, "n": n}
 
 
-def verify_qvertex(max_part: int = 4, max_len: int = 3, window_pad: int = 5) -> VerifyReport:
+@_sweep
+def verify_qvertex(max_part: int = 4, max_len: int = 3, window_pad: int = 5):
     """Two-route straightening agreement, per-step Q-rule invariants, bracket
     routes, action laws and series-form equivalence."""
-    report = VerifyReport("qvertex")
-    start = time.perf_counter()
     for mu in compositions(max_part, max_len):
-        with report.guard({"index": list(mu)}):
-            letters = codes.encode_code(mu).letters
-            _check_steps(report, mu, letters, "q")
-            _check_ref(report, "straighten_Y", {"index": list(mu)})
+        letters = codes.encode_code(mu).letters
+        if "L" in letters:
+            yield "step_invariants", {"rule": "q", "index": list(mu), "letters": letters}
+        yield "straighten_Y", {"index": list(mu)}
     for m in range(max_part + 1):
         for n in range(max_part + 1):
             if m != n:
-                report.check(
-                    {"op": "anticommute", "index": [m, n]},
-                    negate(qvertex.straighten_Y_perm((n, m))).to_dict(),
-                    qvertex.straighten_Y_perm((m, n)).to_dict(),
-                )
+                yield "anticommute", {"index": [m, n]}
     for lam in strict_partitions(max_part, max_len):
-        with report.guard({"index": list(lam)}):
-            _check_qvertex(report, lam, max_part, window_pad)
-    report.seconds = time.perf_counter() - start
-    return report
+        index, n_max = list(lam), (lam[0] if lam else 0) + window_pad
+        for i in range(1, n_max + len(lam) + 1):
+            yield "bracket_code", {"index": index, "i": i}
+        for n in range(max_part + 3):
+            yield "yn_zero", {"index": index, "n": n}
+            yield "yn_straighten", {"index": index, "n": n}
+        yield "series_forms", {"index": index, "n_max": n_max}
+        for term in _shared(qvertex.q_series_j_form, lam, n_max):
+            yield "series_strict", {"index": index, "n": term.n, "term": list(term.index)}
 
 
-def _check_qvertex(report: VerifyReport, lam, max_part: int, window_pad: int) -> None:
-    top = lam[0] if lam else 0
-    n_max = top + window_pad
-    i_max = n_max + len(lam)
-    for i in range(1, i_max + 1):
-        _check_ref(report, "bracket_code", {"index": list(lam), "i": i})
-    for n in range(0, max_part + 3):
-        report.check(
-            {"op": "yn_zero", "index": list(lam), "n": n},
-            n in lam,
-            qvertex.yn_action(n, lam).is_zero,
-        )
-        _check_ref(report, "yn_straighten", {"index": list(lam), "n": n})
-    j_terms = qvertex.q_series_j_form(lam, n_max)
-    i_terms = qvertex.q_series_i_form(lam, i_max)
-    in_window = [t for t in i_terms if t.n <= n_max]
-    report.check(
-        {"op": "series_forms", "index": list(lam), "n_max": n_max},
-        [t.to_dict() for t in j_terms],
-        sorted((t.to_dict() for t in in_window), key=lambda d: d["t_exp"]),
-    )
-    for term in j_terms:
-        report.check(
-            {"op": "series_strict", "index": list(lam), "n": term.n},
-            "strict-partition",
-            classify(term.index),
-        )
-
-
-def verify_shifted(max_part: int = 4, max_len: int = 3, i_max: int = 10) -> VerifyReport:
+@_sweep
+def verify_shifted(max_part: int = 4, max_len: int = 3, i_max: int = 10):
     """Shifted round trips, encoder validity, preshift consistency, per-step
     shifted-rule invariants, shared straightening and the shifted bracket."""
-    report = VerifyReport("shifted")
-    start = time.perf_counter()
     for mu in compositions(max_part, max_len, 1):
-        with report.guard({"index": list(mu)}):
-            word = shifted.encode_shifted(mu)
-            _check_word(report, mu, word, shifted.decode_shifted, "shifted")
-            plain = codes.encode_code(mu).letters
-            _check_ref(report, "preshift", {"index": list(mu), "letters": plain})
-            _check_ref(report, "shifted_straighten", {"index": list(mu), "letters": word.letters})
+        args = {"index": list(mu), "letters": shifted.encode_shifted(mu).letters}
+        yield from _word_cases("shifted", args)
+        yield "preshift", {"index": list(mu), "letters": codes.encode_code(mu).letters}
+        yield "shifted_straighten", args
     for lam in strict_partitions(max_part, max_len):
-        if not lam:
-            continue
-        with report.guard({"op": "bracket_shifted", "index": list(lam)}):
-            for i in range(1, i_max + 1):
-                _check_ref(report, "bracket_shifted", {"index": list(lam), "i": i})
-    report.cases += 1
-    try:
-        shifted.preshift(codes.encode_code((2, 0)))
-    except DomainError:
-        pass
-    else:
-        report.fail({"op": "preshift_zero_row", "index": [2, 0]}, "DomainError", "no error")
-    report.seconds = time.perf_counter() - start
-    return report
+        for i in range(1, i_max + 1 if lam else 1):
+            yield "bracket_shifted", {"index": list(lam), "i": i}
+    yield "preshift_zero_row", {"index": [2, 0]}
 
 
-def verify_oracle(max_part: int = 3, max_len: int = 3) -> VerifyReport:
+@_sweep
+def verify_oracle(max_part: int = 4, max_len: int = 3):
     """Polynomial-level checks: exchange antisymmetry and the straightening law."""
-    report = VerifyReport("oracle")
-    start = time.perf_counter()
     for nvars in range(min(max_len, 5) + 1):
-        report.check(
-            {"op": "vandermonde", "nvars": nvars},
-            True,
-            oracle.bialternant(oracle.staircase(nvars)) == oracle.vandermonde_product(nvars),
-        )
+        yield "vandermonde", {"nvars": nvars}
     rng = random.Random(0)
     for case in range(300):
         n = rng.randint(2, 4)
-        exps = tuple(rng.randint(0, max_part + n) for _ in range(n))
-        i = rng.randrange(n - 1)
-        swapped = list(exps)
-        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-        report.check(
-            {"op": "exchange", "exponents": list(exps), "i": i},
-            True,
-            oracle.bialternant(tuple(swapped)) == -oracle.bialternant(exps),
-        )
+        exps = [rng.randint(0, max_part + n) for _ in range(n)]
+        yield "exchange", {"exponents": exps, "i": rng.randrange(n - 1)}
     for mu in compositions(max_part, max_len):
-        result = oracle.exponent_straighten(mu)
-        with report.guard({"op": "exponent_vs_code", "index": list(mu)}):
-            _check_ref(report, "exponent_vs_code", {"index": list(mu)})
-        if not mu:
-            continue
-        poly = oracle.schur_poly(mu, len(mu))
-        if result.is_zero:
-            report.check(
-                {"op": "schur_law", "index": list(mu)}, True, poly.is_zero
-            )
-        else:
-            target = oracle.schur_poly(result.index, len(mu))
-            if result.sign < 0:
-                target = -target
-            report.check(
-                {"op": "schur_law", "index": list(mu)}, True, poly == target
-            )
-    report.seconds = time.perf_counter() - start
-    return report
+        yield "exponent_vs_code", {"index": list(mu)}
+        if mu:
+            yield "schur_law", {"index": list(mu), "nvars": len(mu)}
 
 
 def corpus_lines(path: str | None = None) -> list[str]:

@@ -11,15 +11,8 @@ import random
 import time
 from collections import Counter
 
-from codecalc import (
-    bernstein,
-    codes,
-    oracle,
-    qvertex,
-    shifted,
-)
-from codecalc.codes import reduce_word
-from codecalc.verify import compositions, strict_partitions
+from codecalc import bernstein, codes, oracle, qvertex, shifted
+from codecalc.verify import VerifyReport, _check, compositions, strict_partitions
 
 
 def _verdict(capsys, num: int, ok: bool, detail: str) -> None:
@@ -44,6 +37,16 @@ def _padded_partitions(max_size: int, max_zeros: int = 2):
     for lam in _positive_partitions(max_size):
         for zeros in range(max_zeros + 1):
             yield lam + (0,) * zeros
+
+
+def _table_report(check: str, cases) -> VerifyReport:
+    """Every args of cases checked, timed, by ``check``'s entry in verify's LAWS or REFERENCES."""
+    report = VerifyReport("acceptance")
+    start = time.perf_counter()
+    for args in cases:
+        _check(report, check, args)
+    report.seconds = time.perf_counter() - start
+    return report
 
 
 def test_criterion_01_worked_example(capsys):
@@ -91,44 +94,21 @@ def test_criterion_03_triple_agreement(capsys):
 
 
 def test_criterion_04_bialternant_law(capsys):
-    start = time.perf_counter()
-    nvars = 4
-    cases = 0
-    mismatches = 0
-    for mu in compositions(5, 4):
-        cases += 1
-        poly = oracle.schur_poly(mu, nvars)
-        result = codes.straighten_B(mu)
-        if result.is_zero:
-            if not poly.is_zero:
-                mismatches += 1
-        else:
-            target = oracle.schur_poly(result.index, nvars)
-            if result.sign < 0:
-                target = -target
-            if poly.is_zero or poly != target:
-                mismatches += 1
-    elapsed = time.perf_counter() - start
-    ok = mismatches == 0 and elapsed < 60.0
-    _verdict(capsys, 4, ok, f"{cases} cases, {mismatches} mismatches, {elapsed:.2f}s")
+    cases = ({"index": list(mu), "nvars": 4} for mu in compositions(5, 4))
+    r = _table_report("schur_law", cases)
+    detail = f"{r.cases} cases, {len(r.failures)} mismatches, {r.seconds:.2f}s"
+    _verdict(capsys, 4, r.ok and r.seconds < 60.0, detail)
 
 
 def test_criterion_05_vanishing_characterization(capsys):
-    start = time.perf_counter()
-    cases = 0
-    mismatches = 0
-    for lam in _padded_partitions(10):
-        l = len(lam)
-        top = lam[0] if lam else 0
-        vanish = {lam[j] - (j + 1) for j in range(l)}
-        for n in range(-l - 2, top + 3):
-            cases += 1
-            expect_zero = n < -l or n in vanish
-            if bernstein.bn_action(n, lam).is_zero != expect_zero:
-                mismatches += 1
-    elapsed = time.perf_counter() - start
-    ok = mismatches == 0 and elapsed < 5.0
-    _verdict(capsys, 5, ok, f"{cases} cases, {mismatches} mismatches, {elapsed:.2f}s")
+    cases = (
+        {"index": list(lam), "n": n}
+        for lam in _padded_partitions(10)
+        for n in range(-len(lam) - 2, (lam[0] if lam else 0) + 3)
+    )
+    r = _table_report("vanishing", cases)
+    detail = f"{r.cases} cases, {len(r.failures)} mismatches, {r.seconds:.2f}s"
+    _verdict(capsys, 5, r.ok and r.seconds < 5.0, detail)
 
 
 def test_criterion_06_series_action_consistency(capsys):
@@ -190,15 +170,9 @@ def test_criterion_08_q_series_forms(capsys):
 
 
 def test_criterion_09_dual_definitions(capsys):
-    mismatches = 0
-    sup_cases = 0
-    for lam in _padded_partitions(10):
-        for i in range(1, 21):
-            sup_cases += 1
-            j = sum(1 for p in lam if p >= i)
-            closed = tuple(p - 1 for p in lam[:j]) + (i - 1,) + lam[j:]
-            if bernstein.lambda_sup(lam, i) != closed:
-                mismatches += 1
+    cases = ({"index": list(lam), "i": i} for lam in _padded_partitions(10) for i in range(1, 21))
+    sup = _table_report("sup_code", cases)
+    mismatches = len(sup.failures)
     bracket_cases = 0
     for lam in strict_partitions(8, 8):
         absent = [v for v in range(1, len(lam) + 12) if v not in lam]
@@ -213,7 +187,7 @@ def test_criterion_09_dual_definitions(capsys):
             if i >= 1 and shifted.lambda_bracket_shifted(lam, i) != closed:
                 mismatches += 1
     ok = mismatches == 0
-    _verdict(capsys, 9, ok, f"{sup_cases}+{bracket_cases} cases, {mismatches} mismatches")
+    _verdict(capsys, 9, ok, f"{sup.cases}+{bracket_cases} cases, {mismatches} mismatches")
 
 
 def test_criterion_10_round_trips_and_reduction(capsys):
@@ -229,34 +203,19 @@ def test_criterion_10_round_trips_and_reduction(capsys):
         if shifted.decode_shifted(shifted.encode_shifted(mu)) != mu:
             mismatches += 1
 
+    # the normal form is idempotent and does not depend on the order in which
+    # adjacent RL/LR pairs cancel
     rng = random.Random(20260819)
-    words = 0
-    for _ in range(10_000):
-        words += 1
-        raw = "".join(rng.choice("RLU") for _ in range(rng.randrange(31)))
-        reduced = reduce_word(raw)
-        if reduce_word(reduced) != reduced:
-            mismatches += 1
-            continue
-        # cancel adjacent RL/LR pairs in a random order; the normal form
-        # must not depend on the order chosen
-        letters = list(raw)
-        while True:
-            pairs = [
-                i
-                for i in range(len(letters) - 1)
-                if letters[i] != letters[i + 1] and "U" not in letters[i : i + 2]
-            ]
-            if not pairs:
-                break
-            at = rng.choice(pairs)
-            del letters[at : at + 2]
-        if "".join(letters) != reduced:
-            mismatches += 1
+    words = [
+        {"letters": "".join(rng.choice("RLU") for _ in range(rng.randrange(31)))}
+        for _ in range(10_000)
+    ]
+    for check in ("reduce_idempotent", "reduce_any_order"):
+        mismatches += len(_table_report(check, words).failures)
     ok = mismatches == 0
     _verdict(
         capsys,
         10,
         ok,
-        f"{plain}+{strict} round trips, {words} random words, {mismatches} mismatches",
+        f"{plain}+{strict} round trips, {len(words)} random words, {mismatches} mismatches",
     )

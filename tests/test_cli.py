@@ -168,6 +168,15 @@ def test_method_all_skips_shifted_on_zero_rows(capsys):
     assert code == 0 and out == "-1 * Q[2,0]\n"
 
 
+@pytest.mark.parametrize("method", ["code", "reading", "oracle", "all"])
+@pytest.mark.parametrize("index", ["2,-1", "-1"])
+def test_b_methods_reject_a_negative_row(capsys, method, index):
+    # B_{-1} . 1 = h_{-1} = 0, so no B method may print a product for a negative row
+    code, out, err = _run(capsys, "straighten", "--algebra", "b", "--method", method, "--", index)
+    assert (code, out) == (1, "")
+    assert err == "error: index entry -1 is below the allowed minimum 0\n"
+
+
 def test_act_on_empty_index(capsys):
     code, out, _ = _run(capsys, "act", "--algebra", "b", "-n", "3")
     assert code == 0 and out == "+1 * B[3]\n"

@@ -1,17 +1,23 @@
-"""The verify suites catch a broken route.
+"""The verify suites catch a broken route, and their checks are pinned.
 
 The public operations compute each answer once, by the code route; the
-independent routes and the per-step exchange invariants are compared in the
-verify suites.  Each test here breaks one route, one step of a
-``codes.RULES`` entry or one op of a ``verify.REFERENCES`` entry, and checks
-that the suites report it as a failure of the named check.
+independent routes and the laws are compared in the verify suites.  Each
+breaker test here breaks one route, one step of a ``codes.RULES`` entry, one
+op of a ``verify.REFERENCES`` entry or one ``verify.LAWS`` entry, and checks
+that the suites report it as a failure of the named check.  The rest pin the
+case counts and the README's tables of checks.
 """
 
 from __future__ import annotations
 
+import json
+import re
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
-from codecalc import bernstein, codes, ops, qvertex, shifted, verify
+from codecalc import bernstein, cli, codes, ops, qvertex, shifted, verify
 from codecalc.codes import _built
 from codecalc.core import negate
 
@@ -126,6 +132,17 @@ def test_suite_reports_broken_rule(monkeypatch, rule, breaker, suite, op, straig
 SWEEPS = [suite for name, suite in verify.SUITES.items() if name != "corpus"]
 
 
+def _failed_checks() -> set:
+    """The checks the sweeps at (3, 2) report as failed.  Each failure must
+    come back identical from ``_check`` on its input minus op."""
+    failures = [f for suite in SWEEPS for f in suite(3, 2).failures]
+    for f in failures:
+        report = verify.VerifyReport(f["suite"])
+        verify._check(report, f["input"]["op"], {k: v for k, v in f["input"].items() if k != "op"})
+        assert report.failures == [f]
+    return {f["input"]["op"] for f in failures}
+
+
 @pytest.mark.parametrize("check", sorted(verify.REFERENCES))
 def test_sweeps_report_every_broken_reference_entry(monkeypatch, check):
     op = verify.REFERENCES[check][0]
@@ -133,11 +150,24 @@ def test_sweeps_report_every_broken_reference_entry(monkeypatch, check):
     # a wrong answer: the sign flipped, or -1 in place of an index, word or row
     wrong = (lambda *args: negate(fn(*args))) if key is None else (lambda *args: -1)
     monkeypatch.setitem(ops.OPS, op, (wrong, names, key))
-    failed = {f["input"].get("op") for suite in SWEEPS for f in suite(3, 3).failures}
-    assert check in failed, sorted(map(str, failed))
+    failed = _failed_checks()
+    assert check in failed, sorted(failed)
 
 
-def test_guard_records_errors_as_failures(monkeypatch):
+@pytest.mark.parametrize("check", sorted(verify.LAWS))
+def test_sweeps_report_every_broken_law(monkeypatch, check):
+    law = verify.LAWS[check]
+
+    def broken(args):  # the law's got, wrapped so that it never equals expected
+        expected, got = law(args)
+        return expected, {"broken": got}
+
+    monkeypatch.setitem(verify.LAWS, check, broken)
+    failed = _failed_checks()
+    assert check in failed, sorted(failed)
+
+
+def test_check_records_errors_as_failures(monkeypatch):
     def broken(word):
         raise codes.InternalInvariantError("broken on purpose")
 
@@ -145,6 +175,20 @@ def test_guard_records_errors_as_failures(monkeypatch):
     report = verify.verify_codes(2, 2)
     raised = [f for f in report.failures if f["expected"] == "no error"]
     assert raised and all("broken on purpose" in f["got"] for f in raised)
+
+
+def test_an_enumeration_error_is_one_recorded_failure(monkeypatch, capsys):
+    def broken(parts):
+        raise codes.InternalInvariantError("broken on purpose")
+
+    monkeypatch.setattr(codes, "encode_code", broken)
+    report = verify.verify_codes(2, 2)
+    assert (report.cases, report.ok) == (1, False)
+    assert report.failures[0]["input"] == {"op": "enumeration"}
+    assert cli.main(["verify", "--suite", "codes", "--max-part", "2", "--max-len", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("suite=codes cases=1 failures=1 ") and err == ""
+    assert "broken on purpose" in out
 
 
 def test_replay_reports_first_bad_step(monkeypatch):
@@ -161,3 +205,71 @@ def test_enumerators():
         mu for mu in verify.compositions(2, 2) if list(mu) == sorted(mu, reverse=True)
     )
     assert sum(1 for _ in verify.compositions(6, 5)) == 19_608
+
+
+# cases per suite at the CLI's defaults (--max-part 4 --max-len 3 --i-max 10
+# --n-max 5) and at --max-part 3 --max-len 2
+DEFAULT_CASES = {
+    "codes": 5324, "bernstein": 2940, "qvertex": 756, "shifted": 551, "oracle": 615, "corpus": 78
+}
+SMALL_CASES = {
+    "codes": 4596, "bernstein": 642, "qvertex": 235, "shifted": 119, "oracle": 344, "corpus": 78
+}
+
+
+@pytest.fixture(scope="module")
+def small_run():
+    """Cases per suite, and per (suite, check), of every suite at (3, 2)."""
+    per_check = Counter()
+    check = verify.VerifyReport.check
+
+    def counted(report, input_, expected, got):
+        per_check[report.suite, input_["op"]] += 1
+        check(report, input_, expected, got)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify.VerifyReport, "check", counted)
+        cases = {
+            name: (suite() if name == "corpus" else suite(3, 2)).cases
+            for name, suite in verify.SUITES.items()
+        }
+    return cases, per_check
+
+
+def test_case_counts_at_a_small_range(small_run):
+    assert small_run[0] == SMALL_CASES
+
+
+def test_sweeps_default_to_the_cli_ranges(capsys):
+    assert cli.main(["verify", "--format", "json"]) == 0
+    summaries = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert {s["suite"]: s["cases"] for s in summaries} == DEFAULT_CASES
+    assert {name: suite().cases for name, suite in verify.SUITES.items()} == DEFAULT_CASES
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_tables() -> list[dict]:
+    """Check name -> suites, per table under README's "Where the cross-checks run"."""
+    text = README.read_text("utf-8")
+    section = text.split("**Where the cross-checks run.**")[1].split("\n## ")[0]
+    tables = []
+    for block in section.split("\n\n"):
+        rows = [line.split("|")[1:3] for line in block.splitlines() if line.startswith("| `")]
+        if rows:
+            tables.append(
+                {re.findall(r"`(\w+)`", c)[0]: set(re.findall(r"`(\w+)`", s)) for c, s in rows}
+            )
+    return tables
+
+
+def test_readme_tables_list_every_check_with_its_suites(small_run):
+    references, laws = _readme_tables()
+    assert sorted(references) == sorted(verify.REFERENCES)
+    assert sorted(laws) == sorted(verify.LAWS)
+    assert not set(verify.REFERENCES) & set(verify.LAWS)
+    runs = {}
+    for suite, check in small_run[1]:
+        runs.setdefault(check, set()).add(suite)
+    assert {**references, **laws} == runs
