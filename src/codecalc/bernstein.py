@@ -3,7 +3,9 @@
 Applying the degree-n operator to a partition either vanishes, prepends n as a
 new top row, or (for small n) produces a signed partition read off the code
 word by turning one R into a U.  The series expansion of the operator product
-is indexed by i >= 1 via the sup-indexes lambda^(i).
+is indexed by i >= 1 via the sup-indexes lambda^(i).  Every route here reads
+the word's runs (``codes.CodeWord.runs``), so a call or a series term costs
+O(rows) whatever the parts.
 """
 
 from .core import (
@@ -19,7 +21,7 @@ from .core import (
     signed_result,
     validate_composition,
 )
-from .codes import _replace_ith_r, _splice_u, encode_code
+from .codes import _replace_ith_r, _rows, encode_code
 
 
 def _validated_partition(parts) -> Composition:
@@ -33,22 +35,30 @@ def bn_action(n: int, lam) -> SignedIndexResult:
     """Apply the degree-n row-adding operator to the partition lam.
 
     For n >= lam_1 the row is prepended with sign +1.  Otherwise the code word
-    of lam is inspected k = lam_1 - n letters from its right end: a U there
-    (or falling off the word, i.e. n < -len(lam)) annihilates, while an R
-    there becomes a U, with one sign flip per U strictly between it and the
-    word's final U, plus one more.
+    of lam is inspected m = lam_1 - n letters from its right end, walking left
+    over each run i's d R's and its closing U: a U there (or falling off the
+    word, i.e. n < -len(lam)) annihilates, while an R there becomes a U, with
+    one sign flip per U strictly between it and the word's final U, plus one
+    more.
     """
     lam = _validated_partition(lam)
     check_int(n, "degree")
     top = lam[0] if lam else 0
     if n >= top:
         return signed_result(0, (n,) + lam)
-    word = encode_code(lam).letters
-    zidx = len(word) - (top - n)
-    if zidx < 0 or word[zidx] == "U":
-        return ZERO
-    exponent = word[zidx + 1 : -1].count("U") + 1
-    new = _splice_u(word, zidx)
+    runs = encode_code(lam).runs
+    m = top - n
+    for i in range(len(runs) - 1, -1, -1):
+        d = runs[i]
+        if m <= d + 1:
+            break
+        m -= d + 1
+    else:
+        return ZERO  # the walk falls off the word
+    if m == 1:
+        return ZERO  # a U
+    exponent = len(runs) - i
+    new = _rows(runs[:i] + (d - m + 1, m - 2) + runs[i + 1 :])
     if (
         len(new) != len(lam) + 1
         or sum(new) != sum(lam) + n
@@ -68,16 +78,17 @@ def lambda_sup(lam, i: int) -> Composition:
     """
     lam = _validated_partition(lam)
     check_int(i, "sup-index position", 1)
-    return _replace_ith_r(encode_code(lam).letters, i)
+    return _rows(_replace_ith_r(encode_code(lam).runs, i))
 
 
 def r_index(lam, i: int) -> int:
-    """Number of R's left of the i-th U from the right; equals row i (0 past the end)."""
+    """Number of R's left of the i-th U from the right, the moves of the runs
+    up to that U; equals row i (0 past the end)."""
     lam = _validated_partition(lam)
     check_int(i, "row position", 1)
     if i > len(lam):
         return 0
-    return encode_code(lam).letters.rsplit("U", i)[0].count("R")
+    return sum(encode_code(lam).runs[: len(lam) - i + 1])
 
 
 class SeriesTerm(_Value):
@@ -107,12 +118,13 @@ class SeriesTerm(_Value):
 
 
 def _series(lam: Composition, i_max: int) -> list[SeriesTerm]:
-    """Terms i = 1..i_max for a validated partition, encoding it once."""
-    word = encode_code(lam).letters
+    """Terms i = 1..i_max for a validated partition, encoding it once; each
+    term reads the runs of its word, O(rows)."""
+    runs = encode_code(lam).runs
     base = sum(lam)
     terms: list[SeriesTerm] = []
     for i in range(1, i_max + 1):
-        index = _replace_ith_r(word, i)
+        index = _rows(_replace_ith_r(runs, i))
         t_exp = sum(index) - base
         sign_exp = i - 1 - t_exp
         if sign_exp < 0:

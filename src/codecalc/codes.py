@@ -9,13 +9,16 @@ as neighbours; U never cancels.  The finite word of an index with rows
 and ends with a U whenever it is nonempty.  Leading U's encode zero rows, so
 distinct indexes always get distinct words.
 
+A reduced word's U-segments are each all R's or all L's, so a word is stored
+as its runs: the net move before each U, bottom-up (R's positive, L's
+negative).  Its letters are a view, rendered on first read.
+
 Straightening rewrites a word containing L's (rows out of order) into either
 the zero result or a signed word without L's (a partition), by repeatedly
 exchanging the leftmost L-run with a letter to its left.  One loop applies the
-step of every rule in ``RULES`` (plain, shifted, Q, reading); the
-straighteners sum it, and verify checks each word it yields.  A word is a
-``str`` from end to end: a step(letters: str, shift) returns its new letters
-as a ``str``, and so do the encoders and the reduction.
+step of every rule in ``RULES``; the straighteners sum it, and verify checks
+the word of each step.  The plain, shifted and Q steps rewrite runs, at O(rows)
+a step whatever the parts; the reading step reads letters, maybe unreduced.
 
 A shifted word (Schur-Q side, strict indexes with positive rows) is the same
 kind of word read with its rows offset by a staircase: the k-th U from the
@@ -23,6 +26,9 @@ left sits k columns further right, so its row is the plain row plus k.  The
 class constant ``shift`` (0 plain, 1 shifted) is the only difference between
 the two styles; it fixes the origin offset and the minimum row.
 """
+
+from itertools import accumulate, repeat
+from operator import sub
 
 from .core import (
     Composition,
@@ -38,20 +44,15 @@ from .core import (
 ALPHABET = frozenset("RLU")
 
 
-def _reduce(seq) -> str:
-    """Cancel adjacent RL / LR pairs in one left-to-right pass: U's never
-    cancel, so each stretch between them reduces to its net R's or L's."""
-    out = ""
-    net = 0
-    for ch in seq:
-        if ch == "U":
-            out += ("R" * net if net >= 0 else "L" * -net) + "U"
-            net = 0
-        elif ch == "R":
-            net += 1
-        else:
-            net -= 1
-    return out + ("R" * net if net >= 0 else "L" * -net)
+def _runs(letters: str) -> tuple[int, ...]:
+    """Runs of a reduced word's letters: each U-closed stretch's length,
+    negative for L's (letters past the last U are no row)."""
+    return tuple([-len(seg) if "L" in seg else len(seg) for seg in letters.split("U")[:-1]])
+
+
+def _render(runs) -> str:
+    """Letters of the reduced word with these runs: each move as R's or L's, then its U."""
+    return "U".join(["R" * d or "L" * -d for d in runs] + [""])
 
 
 def _check_alphabet(letters) -> None:
@@ -60,65 +61,82 @@ def _check_alphabet(letters) -> None:
         raise InvalidCodeError(f"letter {bad!r} is not one of R, L, U")
 
 
+def _nets(letters) -> tuple[list[int], int]:
+    """Net moves (R's minus L's) of letters, maybe unreduced: one per U-closed
+    stretch, bottom-up, and the stretch after the last U."""
+    nets, net = [], 0
+    for ch in letters:
+        if ch == "U":
+            nets.append(net)
+            net = 0
+        else:
+            net += 1 if ch == "R" else -1
+    return nets, net
+
+
 def reduce_word(letters: str) -> str:
     """Cancel adjacent RL / LR pairs until none remain.
 
     The normal form is unique: U's are never touched, and cancellations in any
-    order reach the same word.
+    order reach the same word, each stretch between U's its net R's or L's.
     """
     _check_alphabet(letters)
-    return _reduce(letters)
+    nets, net = _nets(letters)
+    return _render(nets) + ("R" * net or "L" * -net)
 
 
-def _decode_letters(seq, shift: int = 0) -> Composition:
-    """Row lengths of a letter sequence: x-position at each U, top row last in seq.
-
-    With ``shift`` 1 the k-th U from the left reads k columns further right
-    (the staircase of the shifted style).  Returns the rows bottom-row-first
-    reversed into the usual top-down order; entries may be below the minimum
-    for invalid words (callers validate).
-    """
-    x = shift
-    rows: list[int] = []
-    for ch in seq:
-        if ch == "R":
-            x += 1
-        elif ch == "L":
-            x -= 1
-        else:
-            rows.append(x)
-            x += shift
-    rows.reverse()
-    return tuple(rows)
+def _rows(word, shift: int = 0) -> Composition:
+    """Rows of a word, as runs or as letters, top row first: the x-position at
+    each U, where with ``shift`` 1 the k-th U from the left reads k columns
+    further right (the staircase of the shifted style).  Entries may be below
+    the minimum for invalid words (callers validate)."""
+    if type(word) is str:
+        word = _nets(word)[0]
+    if shift:
+        word = [d + shift for d in word]
+    return tuple(accumulate(word))[::-1]
 
 
 class CodeWord(_Value):
     """A reduced finite code word whose rows are all at least ``shift``.
 
-    ``shift`` is 0 here (plain words, rows >= 0); ShiftedCodeWord sets it to 1.
+    ``runs`` is the net move before each U, bottom-up; ``letters`` renders them
+    on first read.  ``shift`` is 0 here (plain words, rows >= 0);
+    ShiftedCodeWord sets it to 1.
     """
 
-    __slots__ = __match_args__ = ("letters",)
+    __slots__ = ("runs", "_letters")
+    __match_args__ = ("letters",)
     shift = 0  # class constant, not a field
 
     def __init__(self, letters: str) -> None:
         w = letters
-        if reduce_word(w) != w:
+        _check_alphabet(w)
+        if type(w) is not str or "RL" in w or "LR" in w:  # no R next to an L
             raise InvalidCodeError(f"word {w!r} is not reduced")
         if w:
             if w[0] == "L":
                 raise InvalidCodeError(f"word {w!r} starts with L")
             if w[-1] != "U":
                 raise InvalidCodeError(f"word {w!r} does not end with U")
-        if any(p < self.shift for p in _decode_letters(w, self.shift)):
+        runs = _runs(w)
+        if any(p < self.shift for p in _rows(runs, self.shift)):
             below = "has a row below 1" if self.shift else "has a negative row"
             raise InvalidCodeError(f"word {w!r} {below}")
-        object.__setattr__(self, "letters", w)
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "_letters", w)
+
+    @property
+    def letters(self) -> str:
+        """The word's letters, rendered from its runs on first read."""
+        if self._letters is None:
+            object.__setattr__(self, "_letters", _render(self.runs))
+        return self._letters
 
     @property
     def rows(self) -> int:
         """Number of rows encoded (one per U)."""
-        return self.letters.count("U")
+        return len(self.runs)
 
     def __str__(self) -> str:
         return self.letters
@@ -131,14 +149,16 @@ class ShiftedCodeWord(CodeWord):
     shift = 1
 
 
-def _built(cls, letters: str):
-    """Wrap letters this package built itself, skipping ``cls``'s validation.
+def _built(cls, runs):
+    """Wrap the runs of a word this package built itself, skipping ``cls``'s
+    validation.
 
     Only for words valid by construction; verify re-validates every encoder's
     output through the public constructor.
     """
     word = object.__new__(cls)
-    object.__setattr__(word, "letters", letters)
+    object.__setattr__(word, "runs", runs)
+    object.__setattr__(word, "_letters", None)
     return word
 
 
@@ -154,27 +174,16 @@ def _as_word(cls, word):
 
 
 def _encode(cls, parts: Composition):
-    """The ``cls`` word of an index with rows >= ``cls.shift``.
-
-    Built bottom-up: R**(m_l - shift) U for the bottom row, then for each
-    higher row the net move m_i - m_{i+1} - shift (R's, or L's when negative)
-    followed by its U.  The result is reduced by construction and empty
-    exactly for the empty index.
-    """
+    """The ``cls`` word of an index with rows >= ``cls.shift``: bottom-up, the
+    bottom row moves m_l - shift and each higher row m_i - m_{i+1} - shift."""
     s = cls.shift
-    parts = validate_composition(parts, minimum=s)
-    if not parts:
-        return _built(cls, "")
-    letters = "R" * (parts[-1] - s) + "U"
-    for i in range(len(parts) - 2, -1, -1):
-        step = parts[i] - parts[i + 1] - s
-        letters += ("R" * step if step >= 0 else "L" * -step) + "U"
-    return _built(cls, letters)
+    parts = validate_composition(parts, minimum=s)[::-1]
+    return _built(cls, tuple(map(sub, map(sub, parts, (0,) + parts), repeat(s))))
 
 
 def _decode(cls, word) -> Composition:
     """Index encoded by a ``cls`` word (other words and strings are validated)."""
-    return _decode_letters(_as_word(cls, word).letters, cls.shift)
+    return _rows(_as_word(cls, word).runs, cls.shift)
 
 
 def encode_code(parts: Composition) -> CodeWord:
@@ -187,84 +196,72 @@ def decode_code(word: CodeWord | str) -> Composition:
     return _decode(CodeWord, word)
 
 
-def _splice_u(word: str, idx: int, shift: int = 0, insert: bool = False) -> Composition:
-    """Rows of ``word`` + R-tail (style ``shift``) with a U at letter idx, in
-    place of the R there or, with ``insert``, before it.  Past the word this
-    is its rows under a new top row, read off without building the tail."""
-    if idx >= len(word):
-        end = shift + word.count("R") - word.count("L") + shift * word.count("U")
-        return (end + idx - len(word),) + _decode_letters(word, shift)
-    return _decode_letters(word[:idx] + "U" + word[idx if insert else idx + 1 :], shift)
+def _replace_ith_r(runs, i: int):
+    """Runs of a word without L's with its i-th R, counted from the left into
+    the R-tail past the stored word, turned into a U."""
+    for b, d in enumerate(runs):
+        if i <= d:
+            return runs[:b] + (i - 1, d - i) + runs[b + 1 :]
+        i -= d
+    return runs + (i - 1,)
 
 
-def _replace_ith_r(word: str, i: int, shift: int = 0) -> Composition:
-    """Rows of ``word`` (of style ``shift``) with its i-th R turned into a U.
+def _exchanged(runs, i: int, left: int, right: int, j: int, rest: int):
+    """Runs with run i cut by a new U into ``left`` and ``right``, and run j,
+    left with ``rest``, merged past its dropped U into run j + 1 (or the R-tail)."""
+    after = runs[j + 1 :]
+    merged = (after[0] + rest,) + after[1:] if after else ()
+    return runs[:i] + (left, right) + runs[i + 1 : j] + merged
 
-    R's are counted from the left, into the R-tail past the stored word.
+
+def _exchange_step(runs, shift: int):
+    """One straightening exchange at the leftmost L-run: run j, of k L's.
+
+    The letter k positions left of the run is examined, walking left over
+    each run i's d R's and its closing U.  A U there annihilates the whole
+    product, and so does a walk past a plain word, into its U-prefix; past a
+    shifted word (``shift`` 1) the run is an invalid word.  An R there becomes
+    a U, splitting run i, and the sign picks up one flip per U strictly
+    between that letter and the run: j - i.  The run keeps k - 1 L's.
     """
-    idx = -1
-    for count in range(i):
-        idx = word.find("R", idx + 1)
-        if idx < 0:
-            return _splice_u(word, len(word) + i - count - 1, shift)
-    return _splice_u(word, idx, shift)
-
-
-def _leftmost_run(word: str) -> tuple[int, int]:
-    """Start index and length of the leftmost maximal L-run (word holds an L).
-
-    A U must close the run; anything else is a broken rewrite.
-    """
-    p = word.index("L")
-    rest = word[p:].lstrip("L")
-    if rest[:1] != "U":
-        raise InternalInvariantError(f"L-run not followed by U in {word!r}")
-    return p, len(word) - p - len(rest)
-
-
-def _exchange_step(word: str, shift: int):
-    """One straightening exchange at the leftmost L-run (length k, start p).
-
-    The letter k positions left of the run is examined: a U there annihilates
-    the whole product, and so does a run reaching past a plain word, into its
-    U-prefix; past a shifted word (``shift`` 1) the run is an invalid word.
-    An R there becomes a U, the run shrinks by one L, and the sign picks up
-    one flip per U strictly between that letter and the run.  Trailing L's
-    of the new word cancel into the R-tail.
-    """
-    p, k = _leftmost_run(word)
-    t = p - k
-    if t < 0:
-        if not shift:
-            return None
-        raise InvalidCodeError(f"run of {k} L's reaches past the start of {word!r}")
-    if word[t] == "U":
+    for j, d in enumerate(runs):
+        if d < 0:
+            break
+    else:
+        return 0, runs
+    k = m = -d
+    for i in range(j - 1, -1, -1):
+        d = runs[i]
+        if m <= d + 1:
+            return None if m == 1 else (j - i, _exchanged(runs, i, d - m + 1, m - 2, j, 1 - k))
+        m -= d + 1
+    if not shift:
         return None
-    if word[t] != "R":
-        raise InternalInvariantError(f"unexpected letter {word[t]!r} left of the run")
-    new = word[:t] + "U" + word[t + 1 : p] + "L" * (k - 1) + word[p + k + 1 :]
-    return word.count("U", t + 1, p), _reduce(new).rstrip("L")
+    raise InvalidCodeError(f"run of {k} L's reaches past the start of {_render(runs)!r}")
 
 
-def _q_exchange_step(word: str, shift: int):
-    """One strict-index (Q) exchange at the leftmost L-run of a plain word.
+def _q_exchange_step(runs, shift: int):
+    """One strict-index (Q) exchange at the leftmost L-run (run j, of k L's)
+    of a plain word.
 
-    Walks left from the run to the k-th R; the stored letter before that R
-    annihilates the product when it is a U.  Otherwise a new U is inserted
-    before that R (at the word's left edge this creates a zero row), the run
-    keeps all k L's, and the U that closed the run is dropped.  The sign flips
-    once per letter skipped between the k-th R and the run beyond those k R's.
+    Walks left from the run to the k-th R, in run i; the stored letter before
+    that R annihilates the product when it is a U.  Otherwise a new U is
+    inserted before that R (at the word's left edge this creates a zero row),
+    the run keeps all k L's, and the U that closed the run is dropped.  The
+    sign flips once per U passed: j - i.
     """
-    p, k = _leftmost_run(word)
-    q = p
-    for _ in range(k):
-        q = word.rfind("R", 0, q)
-        if q < 0:
-            raise InternalInvariantError(f"fewer than {k} R's left of the run in {word!r}")
-    if q > 0 and word[q - 1] == "U":
-        return None
-    new = word[:q] + "U" + word[q : p + k] + word[p + k + 1 :]
-    return (p - q) - k, _reduce(new).rstrip("L")
+    for j, d in enumerate(runs):
+        if d < 0:
+            break
+    else:
+        return 0, runs
+    k = m = -d
+    for i in range(j - 1, -1, -1):
+        d = runs[i]
+        if m <= d:
+            return None if m == d and i else (j - i, _exchanged(runs, i, d - m, m, j, -k))
+        m -= d
+    raise InternalInvariantError(f"fewer than {k} R's left of the run in {_render(runs)!r}")
 
 
 def _check_straight(start: Composition, rows: Composition, shift: int, word) -> None:
@@ -293,7 +290,9 @@ def _reading_step(word: str, shift: int):
     between them.  The cursor stays in the prefix left of the first L, which
     holds only R's and U's, so only that prefix is rewritten.
     """
-    r = c = word.index("L")
+    r = c = word.find("L")
+    if r < 0:
+        return 0, word
     prefix = word[:r]
     exponent = 0
     for i in range(r, len(word)):
@@ -309,8 +308,11 @@ def _reading_step(word: str, shift: int):
     return exponent, prefix  # the R-tail brings the cursor back
 
 
-# rule name -> (word type, step).  A step(letters: str, the type's shift)
-# returns None on annihilation, else (sign exponent, new letters).
+# rule name -> (word type, step).  A step(word, the type's shift) rewrites the
+# leftmost L-run: it returns None on annihilation, else (sign exponent, new
+# word), and (0, word) with the very same word once no L is left.  The word is
+# its runs (a tuple), except for the reading rule, which reads letters (a str)
+# that may be unreduced.
 RULES = {
     "plain": (CodeWord, _exchange_step),
     "shifted": (ShiftedCodeWord, _exchange_step),
@@ -319,40 +321,36 @@ RULES = {
 }
 
 
-def _exchanges(letters: str, rule: str):
-    """The one exchange loop: apply ``rule``'s step until no L remains,
-    yielding each step's result (None, once, on annihilation)."""
+def _sum_exchanges(word, rule: str, on_step=None):
+    """The one exchange loop: apply ``rule``'s step until no L remains.
+
+    Returns None on annihilation, else (total sign exponent, final rows), the
+    final word checked once.  ``on_step``, when given, sees each new word; a
+    true return stops the loop, which then returns None.
+    """
     cls, step = RULES[rule]
-    while "L" in letters:
-        out = step(letters, cls.shift)
-        yield out
-        if out is None:
-            return
-        letters = out[1]
-
-
-def _sum_exchanges(letters: str, rule: str):
-    """Sum the exchange loop over letters: None on annihilation, else (total
-    sign exponent, final rows), the final word checked once."""
-    shift = RULES[rule][0].shift
-    start = _decode_letters(letters, shift)
-    if "L" not in letters:
-        return 0, start  # already straight
-    total = 0
-    for out in _exchanges(letters, rule):
-        if out is None:
+    shift = cls.shift
+    state, total = word, 0
+    while (out := step(state, shift)) is not None and out[1] is not state:
+        if on_step is not None and on_step(out[1]):
             return None
         total += out[0]
-        letters = out[1]
-    rows = _decode_letters(letters, shift)
-    _check_straight(start, rows, shift, letters)
+        state = out[1]
+    if out is None:
+        return None
+    start = _rows(word, shift)
+    if state is word:
+        return 0, start  # already straight
+    rows = _rows(state, shift)
+    _check_straight(start, rows, shift, state)
     return total, rows
 
 
 def straighten_code_trace(word, rule: str = "plain"):
     """Straighten a word of ``rule``'s type (a name in RULES) by the exchange
     loop: None on annihilation, else (total sign exponent, final rows)."""
-    return _sum_exchanges(_as_word(RULES[rule][0], word).letters, rule)
+    word = _as_word(RULES[rule][0], word)
+    return _sum_exchanges(word.letters if rule == "reading" else word.runs, rule)
 
 
 def _signed(out) -> SignedIndexResult:
@@ -373,9 +371,10 @@ def straighten_B(parts: Composition) -> SignedIndexResult:
 def reading_straighten_trace(word: CodeWord | str):
     """straighten_code_trace by the reading rule, which also takes words that
     are not reduced (only the alphabet is checked)."""
-    letters = word.letters if isinstance(word, CodeWord) else word
-    _check_alphabet(letters)
-    return _sum_exchanges("".join(letters), "reading")  # a letter list joins once
+    if isinstance(word, CodeWord):
+        return _sum_exchanges(word.letters, "reading")
+    _check_alphabet(word)
+    return _sum_exchanges(word if type(word) is str else "".join(word), "reading")
 
 
 def reading_straighten(word: CodeWord | str) -> SignedIndexResult:

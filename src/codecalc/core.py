@@ -165,9 +165,10 @@ def validate_composition(parts: Composition, *, minimum: int = 0) -> Composition
     return parts
 
 
-# Largest i_max / n_max a series accepts.  Each term costs time linear in the
-# code word, whatever i is, so the cap bounds the size of the answer: a series
-# has at most SERIES_MAX + 1 terms.
+# Largest i_max / n_max a series accepts.  Each term costs O(rows): it finds
+# the run of the code word that holds its R or RR pair, whatever i and the
+# parts are.  So the cap bounds the size of the answer: a series has at most
+# SERIES_MAX + 1 terms.
 SERIES_MAX = 10_000
 
 

@@ -20,12 +20,7 @@ from .core import (
     signed_result,
     validate_composition,
 )
-from .codes import (
-    _signed,
-    _splice_u,
-    encode_code,
-    straighten_code_trace,
-)
+from .codes import _rows, _signed, encode_code, straighten_code_trace
 
 
 def straighten_Y_perm(parts) -> SignedIndexResult:
@@ -74,19 +69,18 @@ def yn_action(n: int, lam) -> SignedIndexResult:
     return signed_result(j, lam[:j] + (n,) + lam[j:])
 
 
-def _rr_pairs(word: str) -> list[int]:
-    """Positions t of the adjacent R-pairs word[t:t+2] == "RR", overlaps allowed."""
-    return [t for t in range(len(word) - 1) if word[t] == "R" and word[t + 1] == "R"]
+def _bracket_by_code(runs, i: int):
+    """Runs of a word without L's with a U inserted into its i-th adjacent
+    R-pair.
 
-
-def _bracket_by_code(word: str, pairs: list[int], i: int) -> Composition:
-    """Insert a U between the i-th adjacent R-pair of the code word.
-
-    ``pairs`` is ``_rr_pairs(word)``; pairs are counted left to right,
-    continuing into the implicit R-tail past the word's end.
+    Pairs are counted left to right, overlaps allowed (a run of d R's holds
+    d - 1 of them), continuing into the implicit R-tail past the word's end.
     """
-    idx = pairs[i - 1] + 1 if i <= len(pairs) else len(word) + i - len(pairs)
-    return _splice_u(word, idx, insert=True)
+    for b, d in enumerate(runs):
+        if i < d:
+            return runs[:b] + (i, d - i) + runs[b + 1 :]
+        i -= max(d - 1, 0)
+    return runs + (i,)
 
 
 def lambda_bracket(lam, i: int) -> Composition:
@@ -100,8 +94,7 @@ def lambda_bracket(lam, i: int) -> Composition:
     check_int(i, "bracket position", 0)
     if i == 0:
         return lam + (0,)
-    word = encode_code(lam).letters
-    return _bracket_by_code(word, _rr_pairs(word), i)
+    return _rows(_bracket_by_code(encode_code(lam).runs, i))
 
 
 class QSeriesTerm(_Value):
@@ -166,11 +159,10 @@ def q_series_i_form(lam, i_max: int) -> list[QSeriesTerm]:
     check_int(i_max, "i_max", 0, SERIES_MAX)
     l = len(lam)
     base = sum(lam)
-    word = encode_code(lam).letters
-    pairs = _rr_pairs(word)
+    runs = encode_code(lam).runs
     terms: list[QSeriesTerm] = []
     for i in range(i_max + 1):
-        index = _bracket_by_code(word, pairs, i) if i else lam + (0,)
+        index = _rows(_bracket_by_code(runs, i)) if i else lam + (0,)
         n = sum(index) - base
         sign_exp = l + base - sum(index) + i
         if sign_exp != index.index(n) or i != n - l + sign_exp:

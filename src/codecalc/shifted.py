@@ -21,9 +21,9 @@ from .codes import (
     _as_word,
     _built,
     _decode,
-    _decode_letters,
     _encode,
     _replace_ith_r,
+    _rows,
     _signed,
     reduce_word,
     straighten_code_trace,
@@ -57,7 +57,7 @@ class PreshiftedWord(ShiftedCodeWord):
 
     def strip_prefix(self) -> ShiftedCodeWord:
         """Drop the conceptual prefix, leaving the finite shifted word."""
-        return _built(ShiftedCodeWord, self.letters)
+        return _built(ShiftedCodeWord, self.runs)
 
     def __str__(self) -> str:
         return "...ULULU" + self.letters
@@ -71,7 +71,7 @@ def preshift(word: CodeWord | str) -> PreshiftedWord:
     the word reduced, and the surviving staircase stripped back off.
     """
     word = _as_word(CodeWord, word)
-    if any(p < 1 for p in _decode_letters(word.letters)):
+    if any(p < 1 for p in _rows(word.runs)):
         raise DomainError(f"{word.letters!r} has a zero row; no shifted form exists")
     pad = word.letters.count("R") + 2
     seq = "UL" * pad + word.letters.replace("U", "UL")
@@ -93,4 +93,4 @@ def lambda_bracket_shifted(lam, i: int) -> Composition:
     """
     lam = _validated_strict(lam)
     check_int(i, "bracket position", 1)
-    return _replace_ith_r(encode_shifted(lam).letters, i, ShiftedCodeWord.shift)
+    return _rows(_replace_ith_r(encode_shifted(lam).runs, i), ShiftedCodeWord.shift)

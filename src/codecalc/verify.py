@@ -81,23 +81,29 @@ def strict_partitions(max_part: int, max_len: int):
 
 
 def _replay(letters: str, rule: str):
-    """Run ``rule``'s exchange loop (``codes.RULES``) one step at a time.
+    """Run the exchange loop of a rule on runs (``codes.RULES``) on the word
+    with these letters, checking each step through the loop's callback.
 
-    Every word it yields must keep the row count and the total, with no row
-    below its type's shift.  Returns (steps, None) or (steps, first bad step).
+    Every word a step returns must keep the row count and the total, with no
+    row below its type's shift.  Returns (steps, None) or (steps, first bad
+    step), the loop stopped there.
     """
     shift = codes.RULES[rule][0].shift
-    rows = codes._decode_letters(letters, shift)
+    runs = codes._runs(letters)
+    rows = codes._rows(runs, shift)
     nrows, size = len(rows), sum(rows)
-    steps = 0
-    for out in codes._exchanges(letters, rule):
-        if out is None:
-            break
+    steps, bad = 0, None
+
+    def check(runs) -> bool:
+        nonlocal steps, bad
         steps += 1
-        rows = codes._decode_letters(out[1], shift)
+        rows = codes._rows(runs, shift)
         if len(rows) != nrows or sum(rows) != size or any(r < shift for r in rows):
-            return steps, {"step": steps, "letters": out[1], "rows": list(rows)}
-    return steps, None
+            bad = {"step": steps, "runs": list(runs), "rows": list(rows)}
+        return bad is not None
+
+    codes._sum_exchanges(runs, rule, check)
+    return steps, bad
 
 
 @functools.lru_cache(maxsize=1)
@@ -180,9 +186,8 @@ def _encode_valid(args):
 
 
 def _round_trip(args):
-    """The encoder's letters, as a word of the rule's type, decode to the index."""
-    cls = codes.RULES[args["rule"]][0]
-    return args["index"], list(codes._decode(cls, codes._built(cls, args["letters"])))
+    """The encoder's letters, read at the offset of the rule's word type, decode to the index."""
+    return args["index"], list(codes._rows(args["letters"], codes.RULES[args["rule"]][0].shift))
 
 
 def _step_bound(args):

@@ -1,4 +1,5 @@
-"""Property-based checks past the exhaustive sweeps (parts <= 60, length <= 12).
+"""Property-based checks past the exhaustive sweeps (parts <= 60, length <= 12,
+and for the code routes that read runs only, parts <= 10**6, length <= 40).
 
 The examples are derandomized, so every run checks the same inputs; the
 exhaustive sweeps in the other test files and in ``codecalc verify`` stay.
@@ -98,31 +99,86 @@ def test_op_agrees_with_its_reference(check):
     agree()
 
 
-# encoded words per rule of codes.RULES; the reading rule also takes unreduced words
+big_indexes = st.lists(st.integers(0, 10**6), max_size=40).map(tuple)
+big_partitions = big_indexes.map(lambda mu: tuple(sorted(mu, reverse=True)))
+big_strict_partitions = st.sets(st.integers(1, 10**6), max_size=40).map(
+    lambda rows: tuple(sorted(rows, reverse=True))
+)
+
+
+def _big_at(lams, name, lo, hi):
+    return st.tuples(lams, st.integers(lo, hi)).map(lambda p: {"index": list(p[0]), name: p[1]})
+
+
+# args at large parts for the ops whose code route reads the word's runs only;
+# a degree n stays small, since series_action checks B_n against a series
+# window of n + len(lam) + 1 terms
+BIG_OP_ARGS = {
+    "straighten_B": big_indexes.map(lambda mu: {"index": list(mu)}),
+    "straighten_Y_code": big_indexes.map(lambda mu: {"index": list(mu)}),
+    "lambda_sup": _big_at(big_partitions, "i", 1, 10**6 + 50),
+    "r_index": _big_at(big_partitions, "i", 1, 45),
+    "bn_action": _big_at(big_partitions, "n", 0, 300),
+    "lambda_bracket": _big_at(big_strict_partitions, "i", 0, 10**6 + 50),
+    "lambda_bracket_shifted": _big_at(big_strict_partitions, "i", 1, 10**6 + 50),
+}
+
+
+@pytest.mark.parametrize(
+    "check", sorted(c for c, (op, _) in verify.REFERENCES.items() if op in BIG_OP_ARGS)
+)
+def test_code_route_agrees_with_its_reference_at_large_parts(check):
+    op, reference = verify.REFERENCES[check]
+
+    @_SETTINGS
+    @given(BIG_OP_ARGS[op])
+    def agree(args):
+        assert ops.run(op, args) == reference(args)
+
+    agree()
+
+
+@_SETTINGS
+@given(st.lists(st.integers(1, 10**6), max_size=40).map(tuple))
+def test_shifted_route_at_large_parts(mu):
+    expected = qvertex.straighten_Y_perm(mu)
+    assert shifted.shifted_straighten(shifted.encode_shifted(mu)) == expected
+
+
+@_SETTINGS
+@given(big_partitions, big_strict_partitions, st.integers(0, 60))
+def test_series_at_large_parts(lam, strict, i_max):
+    terms = bernstein.bernstein_series(lam, i_max)
+    assert [t.index for t in terms] == [verify._sup_closed(lam, i) for i in range(1, i_max + 1)]
+    q_terms = qvertex.q_series_i_form(strict, i_max + len(strict))
+    assert qvertex.q_series_j_form(strict, i_max) == [t for t in q_terms if t.n <= i_max]
+
+
+# encoded words per rule of codes.RULES, as each rule's step takes them: the
+# runs, or the letters for the reading rule, which also takes unreduced words
 RULE_WORDS = {
-    "plain": indexes.map(lambda mu: codes.encode_code(mu).letters),
-    "shifted": positive_indexes.map(lambda mu: shifted.encode_shifted(mu).letters),
-    "q": indexes.map(lambda mu: codes.encode_code(mu).letters),
+    "plain": indexes.map(lambda mu: codes.encode_code(mu).runs),
+    "shifted": positive_indexes.map(lambda mu: shifted.encode_shifted(mu).runs),
+    "q": indexes.map(lambda mu: codes.encode_code(mu).runs),
     "reading": OP_ARGS["reading_straighten"].map(lambda args: args["letters"]),
 }
 
 
 @pytest.mark.parametrize("rule", sorted(codes.RULES))
-def test_every_rule_step_yields_a_str_word(rule):
-    # the straightening rules keep each word reduced with no trailing L (those
-    # cancel into the R-tail); the reading rule keeps the alphabet only
+def test_every_rule_step_keeps_its_state_type(rule):
+    # the rules on runs keep a tuple of ints that starts with no L-run; the
+    # reading rule keeps a str over the alphabet
     @_SETTINGS
     @given(RULE_WORDS[rule])
-    def steps(letters):
-        for out in codes._exchanges(letters, rule):
-            if out is None:
-                break
-            word = out[1]
-            assert type(word) is str
+    def steps(word):
+        def check(new):
+            assert type(new) is type(word)
             if rule == "reading":
-                assert set(word) <= codes.ALPHABET
+                assert set(new) <= codes.ALPHABET
             else:
-                assert codes.reduce_word(word) == word and not word.endswith("L")
+                assert all(type(d) is int for d in new) and new[0] >= 0
+
+        codes._sum_exchanges(word, rule, check)
 
     steps()
 

@@ -23,17 +23,15 @@ from codecalc.core import negate
 
 
 def _shift_i(real):
-    return lambda word, i, *shift: real(word, i + 1, *shift)
-
-
-def _wrong_bracket(real):
-    return lambda word, pairs, i: real(word, pairs, i + 1)
+    return lambda runs, i: real(runs, i + 1)
 
 
 def _extra_row(real):
+    # a step on runs that adds an empty top row; a straight word still comes
+    # back as itself, which is what ends the loop
     def step(word, shift):
         out = real(word, shift)
-        return out if out is None else (out[0], out[1] + "U")
+        return out if out is None or out[1] is word else (out[0], out[1] + (0,))
 
     return step
 
@@ -41,19 +39,20 @@ def _extra_row(real):
 def _flip_sign(real):
     def step(word, shift):
         out = real(word, shift)
-        return out if out is None else (out[0] + 1, out[1])
+        return out if out is None or out[1] is word else (out[0] + 1, out[1])
 
     return step
 
 
 def _leading_l(word_type, real):
-    return lambda parts: _built(word_type, "L" + real(parts).letters)
+    return lambda parts: _built(word_type, (-1,) + real(parts).runs)
 
 
 BROKEN_ROUTES = [
-    # (module, attribute, how to break it, suite, op whose check must fail)
+    # (module, attribute, how to break it, suite, op whose check must fail);
+    # the position helpers take a word's runs
     (bernstein, "_replace_ith_r", _shift_i, verify.verify_bernstein, "sup_code"),
-    (qvertex, "_bracket_by_code", _wrong_bracket, verify.verify_qvertex, "bracket_code"),
+    (qvertex, "_bracket_by_code", _shift_i, verify.verify_qvertex, "bracket_code"),
     (shifted, "_replace_ith_r", _shift_i, verify.verify_shifted, "bracket_shifted"),
     (
         codes,
@@ -85,6 +84,17 @@ def test_suite_reports_broken_route(monkeypatch, module, name, breaker, suite, o
     assert op in failed_ops, sorted(map(str, failed_ops))
 
 
+def test_suite_reports_broken_renderer(monkeypatch):
+    # the encoders build runs and the letters are rendered from them, here
+    # with every L-run drawn as R's; the word laws read the letters
+    assert verify.verify_codes(3, 3).ok
+    real = codes._render
+    monkeypatch.setattr(codes, "_render", lambda runs: real(tuple(map(abs, runs))))
+    report = verify.verify_codes(3, 3)
+    failed_ops = {f["input"].get("op") for f in report.failures}
+    assert failed_ops & {"encode_valid", "round_trip"}, sorted(map(str, failed_ops))
+
+
 def _outcome(straighten, mu):
     try:
         return straighten(mu)
@@ -94,7 +104,8 @@ def _outcome(straighten, mu):
 
 BROKEN_RULES = [
     # (rule of codes.RULES, how to break its step, suite, op whose check must
-    # fail, the public straightener that runs the rule)
+    # fail, the public straightener that runs the rule); the reading step
+    # rewrites letters, the others runs
     ("plain", _extra_row, verify.verify_codes, "step_invariants", codes.straighten_B),
     (
         "shifted",
