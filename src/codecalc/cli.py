@@ -91,7 +91,7 @@ def _cmd_code(args) -> int:
     return _print(args, ops.run(f"encode_{style}", {"index": parse_index(args.index)}))
 
 
-# (--algebra, --method) -> (op, the encoder op whose letters it takes, or None)
+# (--algebra, --method) -> (op, the encoder op whose word it takes, or None)
 _METHODS = {
     ("b", "code"): ("straighten_B", None),
     ("b", "reading"): ("reading_straighten", "encode_code"),
@@ -119,7 +119,7 @@ def _cmd_straighten(args) -> int:
         validate_composition(mu)  # B rows are nonnegative for every method, the oracle too
     results = {}
     for name, (op, encoder) in chosen.items():
-        op_args = ops.run(encoder, {"index": mu}) if encoder else {"index": mu}
+        op_args = {"letters": ops.OPS[encoder][0](mu)} if encoder else {"index": mu}
         results[name] = ops.run(op, op_args)
     values = list(results.values())
     if any(v != values[0] for v in values[1:]):

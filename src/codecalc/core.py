@@ -47,7 +47,8 @@ class _Value:
     ``__match_args__`` in constructor order.  As with a frozen dataclass, a
     value compares by type and fields, hashes by fields, prints the dataclass
     repr and refuses assignment; pickle and copy rebuild it through its
-    validating constructor."""
+    validating constructor.  ``==`` and hash read the public ``__slots__``:
+    ``CodeWord``'s runs, not the letters rendered from them."""
 
     __slots__ = ()
 
@@ -57,7 +58,7 @@ class _Value:
             return
         # Compiled per type, as dataclasses does: reading the fields through
         # operator.attrgetter made == and hash about 1.7x slower.
-        mine = "".join(f"self.{name}, " for name in cls.__match_args__)
+        mine = "".join(f"self.{name}, " for name in cls.__slots__ if name[0] != "_")
         theirs = mine.replace("self.", "other.")
         namespace: dict = {}
         exec(

@@ -5,13 +5,13 @@ read with its rows offset by a staircase (``codes.ShiftedCodeWord``), the
 stored letters conceptually preceded by the infinite staircase ...ULULU and
 followed by R's only.  The word format and the exchange driver live in
 ``codes``; this module keeps the shifted-style entry points, ``preshift``
-(plain code -> shifted code) and the shifted bracket-index.
+(plain code -> shifted code, U -> UL, which on runs is d -> d - 1) and the
+shifted bracket-index.
 """
 
 from .core import (
     Composition,
     DomainError,
-    InternalInvariantError,
     SignedIndexResult,
     check_int,
 )
@@ -25,7 +25,6 @@ from .codes import (
     _replace_ith_r,
     _rows,
     _signed,
-    reduce_word,
     straighten_code_trace,
 )
 from .qvertex import _validated_strict
@@ -67,21 +66,16 @@ def preshift(word: CodeWord | str) -> PreshiftedWord:
     """Substitute U -> UL in a plain code word (positive rows required).
 
     The substitution turns the plain code of an index into its shifted code
-    behind a staircase prefix: a long enough materialised prefix is prepended,
-    the word reduced, and the surviving staircase stripped back off.
+    behind the staircase prefix ...ULULU.  On runs it is d -> d - 1: the L
+    after each U joins the run that follows (the prefix's last U gives run 1
+    its L, the last U's L cancels an R of the R-tail), and the shifted reading
+    adds that column back, so the rows stay.
     """
     word = _as_word(CodeWord, word)
-    if any(p < 1 for p in _rows(word.runs)):
-        raise DomainError(f"{word.letters!r} has a zero row; no shifted form exists")
-    pad = word.letters.count("R") + 2
-    seq = "UL" * pad + word.letters.replace("U", "UL")
-    reduced = reduce_word(seq).rstrip("L")
-    m = 0
-    while 2 * m + 1 < len(reduced) and reduced[2 * m : 2 * m + 2] == "UL":
-        m += 1
-    if 2 * m >= len(reduced) or reduced[2 * m] != "U":
-        raise InternalInvariantError(f"no staircase boundary in {reduced!r}")
-    return PreshiftedWord(reduced[2 * m + 1 :])
+    rows = _rows(word.runs)
+    if any(p < 1 for p in rows):
+        raise DomainError(f"index {rows} has a zero row; no shifted form exists")
+    return _built(PreshiftedWord, tuple(d - 1 for d in word.runs))
 
 
 def lambda_bracket_shifted(lam, i: int) -> Composition:

@@ -5,8 +5,10 @@ about a terabyte, so a return to per-letter words makes each of these fail at
 once with a MemoryError instead of passing slowly.
 """
 
-from codecalc import bernstein, codes, oracle, qvertex, verify
-from codecalc.core import SignedIndexResult
+import pytest
+
+from codecalc import bernstein, cli, codes, oracle, qvertex, shifted, verify
+from codecalc.core import DomainError, SignedIndexResult
 
 M = 10**12
 
@@ -38,3 +40,25 @@ def test_series_at_a_huge_part_match_their_closed_forms():
     brackets = [verify._bracket_by_values((M,), i) for i in range(1, 51)]
     assert [t.index for t in q_terms] == [(M, 0)] + brackets
     assert q_terms == qvertex.q_series_j_form((M,), 50)
+
+
+def test_words_at_a_huge_part_compare_and_hash_by_their_runs():
+    word = codes.encode_code((M, 1))
+    assert word == codes.encode_code((M, 1)) and hash(word) == hash(codes.encode_code((M, 1)))
+    assert word != codes.encode_code((M + 1, 1))
+    assert word != shifted.encode_shifted((M, 1))  # another type, of the same index
+
+
+def test_preshift_at_a_huge_part():
+    assert shifted.preshift(codes.encode_code((M, 1))).strip_prefix() == shifted.encode_shifted(
+        (M, 1)
+    )
+    with pytest.raises(DomainError, match="zero row"):
+        shifted.preshift(codes.encode_code((M, 0)))
+
+
+@pytest.mark.parametrize("method", ["shifted", "all"])
+def test_cli_hands_the_word_between_ops_at_a_huge_part(capsys, method):
+    argv = ["straighten", "--algebra", "q", "--method", method, "--format", "text", f"1,{M}"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == (f"-1 * Q[{M},1]\n", "")

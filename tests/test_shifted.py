@@ -111,6 +111,37 @@ def test_preshift_rejects_zero_rows():
         shifted.preshift(codes.encode_code((2, 0)))
 
 
+def _step_trace(runs, rule):
+    """Each step of ``rule`` from ``runs``: (sign exponent mod 2, rows), and
+    whether the loop ended by annihilating."""
+    cls, step = codes.RULES[rule]
+    steps = []
+    while (out := step(runs, cls.shift)) is not None and out[1] is not runs:
+        runs = out[1]
+        steps.append((out[0] % 2, codes._rows(runs, cls.shift)))
+    return steps, out is None
+
+
+def test_preshift_relates_the_q_rule_to_the_shifted_rule_step_by_step():
+    # The relation of the paper, step by step: the Q rule on a plain word and
+    # the shifted rule on its preshift take the same steps when the parts are
+    # distinct; with a repeated part the shifted rule takes a prefix of the Q
+    # rule's steps and then annihilates.
+    distinct = repeated = 0
+    for length in range(6):
+        for mu in itertools.product(range(1, 8), repeat=length):
+            word = codes.encode_code(mu)
+            q_steps, q_zero = _step_trace(word.runs, "q")
+            s_steps, s_zero = _step_trace(shifted.preshift(word).runs, "shifted")
+            if len(set(mu)) == length:
+                assert (s_steps, s_zero) == (q_steps, q_zero), mu
+                distinct += 1
+            else:
+                assert s_zero and s_steps == q_steps[: len(s_steps)], mu
+                repeated += 1
+    assert (distinct, repeated) == (3620, 15988)
+
+
 BRACKET_CASES = [
     ((4, 2, 1), 1, (4, 3, 2, 1)),
     ((3, 1), 2, (4, 3, 1)),
