@@ -190,7 +190,10 @@ def _cmd_verify(args) -> int:
 
 # Built on first use and shared by every main() in the process: parse_args fills
 # a new Namespace each call, and help and usage errors read the terminal width
-# and sys.stdout/sys.stderr when they print.
+# and sys.stdout/sys.stderr when they print.  ``commands`` maps each command to
+# its parser, so main parses a known command with that parser alone: the
+# top-level pass would hand it the same arguments, ``-h`` and ``--`` included,
+# and adds only the help, the no-command and the invalid-choice messages.
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="codecalc", description=__doc__.splitlines()[0])
@@ -250,12 +253,18 @@ def _build_parser() -> _Parser:
     add_format(p)
     p.set_defaults(handler=_cmd_verify)
 
+    parser.commands = dict(sub.choices)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        parser = _build_parser()
+        if argv and argv[0] in parser.commands:
+            args = parser.commands[argv[0]].parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
         args.format = _resolve_format(args)
         return args.handler(args)
     except (ParseError, DomainError, InvalidCodeError) as exc:

@@ -163,12 +163,13 @@ def _built(cls, runs):
 
 
 def _as_word(cls, word):
-    """``word`` itself when its type is exactly ``cls``.
+    """``word`` itself when it is a ``cls`` word of ``cls``'s style (its
+    ``shift``), such as a PreshiftedWord handed to the shifted routes.
 
-    Any other word (of another style) or string is taken as its letters and
-    validated as a ``cls`` word, so no word is read at another style's offset.
+    A word of another style or a string is taken as its letters and validated
+    as a ``cls`` word, so no word is read at another style's offset.
     """
-    if type(word) is cls:
+    if isinstance(word, cls) and word.shift == cls.shift:
         return word
     return cls(word.letters if isinstance(word, CodeWord) else word)
 
@@ -192,7 +193,7 @@ def encode_code(parts: Composition) -> CodeWord:
 
 
 def decode_code(word: CodeWord | str) -> Composition:
-    """Index encoded by a code word (validates anything but a CodeWord)."""
+    """Index encoded by a code word (validates anything but a plain CodeWord)."""
     return _decode(CodeWord, word)
 
 

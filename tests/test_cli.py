@@ -98,16 +98,19 @@ def test_bad_env_var_is_a_usage_error(capsys, monkeypatch):
     assert code == 1 and "CODECALC_FORMAT" in err
 
 
+USAGE_ERRORS = [
+    ("straighten", "--algebra", "x", "1"),
+    ("straighten", "1,2"),  # missing --algebra
+    ("straighten", "--algebra", "b", "--method", "perm", "1,2"),
+    ("straighten", "--algebra", "q", "--method", "oracle", "1,2"),
+    ("series", "--algebra", "b", "--index", "1"),  # no window
+    ("series", "--algebra", "b", "--index", "1", "--i-max", "2", "--n-max", "3"),
+]
+
+
 def test_usage_errors_exit_1(capsys):
-    assert _run(capsys, "straighten", "--algebra", "x", "1")[0] == 1
-    assert _run(capsys, "straighten", "1,2")[0] == 1  # missing --algebra
-    assert _run(capsys, "straighten", "--algebra", "b", "--method", "perm", "1,2")[0] == 1
-    assert _run(capsys, "straighten", "--algebra", "q", "--method", "oracle", "1,2")[0] == 1
-    assert _run(capsys, "series", "--algebra", "b", "--index", "1")[0] == 1  # no window
-    assert (
-        _run(capsys, "series", "--algebra", "b", "--index", "1", "--i-max", "2", "--n-max", "3")[0]
-        == 1
-    )
+    for argv in USAGE_ERRORS:
+        assert _run(capsys, *argv)[0] == 1, argv
 
 
 def test_domain_errors_exit_1(capsys):
@@ -424,3 +427,58 @@ def test_reused_parser_leaks_no_state(capsys, monkeypatch):
         cli._build_parser.cache_clear()
         for argv, env in order:
             assert _outcome(capsys, monkeypatch, argv, env) == fresh[argv, env], argv
+
+
+# argvs where the top-level parser and a command's own parser could part ways:
+# help, no or an unknown command, abbreviations, "--", attached values, a
+# leading option and an extra argument
+DISPATCH_EDGES = [
+    (),
+    ("-h",),
+    ("frobnicate",),
+    ("straighten", "-h"),
+    ("straighten", "--alg", "b", "1,2"),
+    ("straighten", "--algebra=b", "--", "-1,2"),
+    ("act", "--algebra", "b", "-n5", "--index", "2"),
+    ("--format", "json", "straighten", "--algebra", "b", "1"),
+    ("series", "--algebra", "q", "--index", "2", "--n-max", "3", "extra"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,env",
+    [(argv, None) for argv, _ in GOLDEN_TEXT]
+    + [(argv, None) for argv in USAGE_ERRORS + DISPATCH_EDGES]
+    + REUSE_SEQUENCE,
+)
+def test_a_command_parser_answers_as_the_top_level_parse(capsys, monkeypatch, argv, env):
+    direct = _outcome(capsys, monkeypatch, argv, env)
+    monkeypatch.setattr(cli._build_parser(), "commands", {})  # every argv takes the full parse
+    assert _outcome(capsys, monkeypatch, argv, env) == direct
+
+
+def test_a_known_command_skips_the_top_level_parse(capsys, monkeypatch):
+    parser = cli._build_parser()
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return type(parser).parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", recorded)
+    for argv, expected in GOLDEN_TEXT:
+        assert _run(capsys, *argv) == (0, expected, ""), argv
+    code, out, _ = _run(capsys, "verify", "--suite", "corpus")
+    assert code == 0 and out.startswith("suite=corpus cases=")
+    assert {argv[0] for argv, _ in GOLDEN_TEXT} | {"verify"} == set(parser.commands)
+    assert calls == []
+
+    for argv, ends, message in [
+        ((), 1, "error: the following arguments are required: command\n"),
+        (("-h",), ("SystemExit", 0), "usage: codecalc [-h] {code,straighten,act,series,verify}"),
+        (("frobnicate",), 1, "error: argument command: invalid choice: 'frobnicate'"),
+    ]:
+        code, out, err = _outcome(capsys, monkeypatch, argv, None)
+        assert code == ends and message in out + err, argv
+        assert calls == [(list(argv), None)]
+        calls.clear()

@@ -57,6 +57,12 @@ def test_preshift_at_a_huge_part():
         shifted.preshift(codes.encode_code((M, 0)))
 
 
+def test_a_preshifted_word_at_a_huge_part_is_read_by_its_runs():
+    word = shifted.preshift(codes.encode_code((M, 1)))
+    assert shifted.shifted_straighten(word) == SignedIndexResult(1, (M, 1))
+    assert shifted.decode_shifted(word) == (M, 1)
+
+
 @pytest.mark.parametrize("method", ["shifted", "all"])
 def test_cli_hands_the_word_between_ops_at_a_huge_part(capsys, method):
     argv = ["straighten", "--algebra", "q", "--method", method, "--format", "text", f"1,{M}"]
