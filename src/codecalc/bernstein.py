@@ -1,11 +1,12 @@
 """Row-adding (Bernstein) operator action on partitions and its operator series.
 
-Applying the degree-n operator to a partition either vanishes, prepends n as a
-new top row, or (for small n) produces a signed partition read off the code
-word by turning one R into a U.  The series expansion of the operator product
-is indexed by i >= 1 via the sup-indexes lambda^(i).  Every route here reads
-the word's runs (``codes.CodeWord.runs``), so a call or a series term costs
-O(rows) whatever the parts.
+Applying the degree-n operator to a partition is one pass of the plain exchange
+rule of ``codes``: n goes on top of the code word as a new run, and the
+straightened word either vanishes, is (n,) + lam itself, or (for small n) turns
+one R into a U.  The series expansion of the operator product is indexed by
+i >= 1 via the sup-indexes lambda^(i).  Every route here reads the word's runs
+(``codes.CodeWord.runs``), so a call or a series term costs O(rows) whatever
+the parts.
 """
 
 from .core import (
@@ -14,14 +15,12 @@ from .core import (
     InternalInvariantError,
     SERIES_MAX,
     SignedIndexResult,
-    ZERO,
     _Value,
     check_int,
     is_partition,
-    signed_result,
     validate_composition,
 )
-from .codes import _replace_ith_r, _rows, encode_code
+from .codes import _replace_ith_r, _rows, _signed, _sum_exchanges, encode_code
 
 
 def _validated_partition(parts) -> Composition:
@@ -34,38 +33,17 @@ def _validated_partition(parts) -> Composition:
 def bn_action(n: int, lam) -> SignedIndexResult:
     """Apply the degree-n row-adding operator to the partition lam.
 
-    For n >= lam_1 the row is prepended with sign +1.  Otherwise the code word
-    of lam is inspected m = lam_1 - n letters from its right end, walking left
-    over each run i's d R's and its closing U: a U there (or falling off the
-    word, i.e. n < -len(lam)) annihilates, while an R there becomes a U, with
-    one sign flip per U strictly between it and the word's final U, plus one
-    more.
+    One pass of the plain exchange rule: the code word of lam gets one more
+    run, the move n - lam_1 of the new top row, and the exchange loop
+    straightens it (``codes._exchange_step``).  For n >= lam_1 that run holds
+    no L and (n,) + lam comes back with sign +1; otherwise its L's walk left
+    to a U (zero), past the word (zero, n < -len(lam)) or to an R that
+    becomes a U.
     """
     lam = _validated_partition(lam)
     check_int(n, "degree")
     top = lam[0] if lam else 0
-    if n >= top:
-        return signed_result(0, (n,) + lam)
-    runs = encode_code(lam).runs
-    m = top - n
-    for i in range(len(runs) - 1, -1, -1):
-        d = runs[i]
-        if m <= d + 1:
-            break
-        m -= d + 1
-    else:
-        return ZERO  # the walk falls off the word
-    if m == 1:
-        return ZERO  # a U
-    exponent = len(runs) - i
-    new = _rows(runs[:i] + (d - m + 1, m - 2) + runs[i + 1 :])
-    if (
-        len(new) != len(lam) + 1
-        or sum(new) != sum(lam) + n
-        or not is_partition(new)
-    ):
-        raise InternalInvariantError(f"bad action result {new!r} for n={n}, lam={lam!r}")
-    return signed_result(exponent, new)
+    return _signed(_sum_exchanges(encode_code(lam).runs + (n - top,), "plain"))
 
 
 def lambda_sup(lam, i: int) -> Composition:

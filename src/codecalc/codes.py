@@ -220,7 +220,8 @@ def _exchange_step(runs, shift: int):
 
     The letter k positions left of the run is examined, walking left over
     each run i's d R's and its closing U.  A U there annihilates the whole
-    product, and so does a walk past a plain word, into its U-prefix; past a
+    product, and so does a walk past a plain word, into its U-prefix (the
+    action ``bernstein.bn_action`` at a degree below -len(lam)); past a
     shifted word (``shift`` 1) the run is an invalid word.  An R there becomes
     a U, splitting run i, and the sign picks up one flip per U strictly
     between that letter and the run: j - i.  The run keeps k - 1 L's.

@@ -74,7 +74,8 @@ def _bracket_by_code(runs, i: int):
     R-pair.
 
     Pairs are counted left to right, overlaps allowed (a run of d R's holds
-    d - 1 of them), continuing into the implicit R-tail past the word's end.
+    d - 1 of them), continuing into the implicit R-tail past the word's end;
+    i = 0 puts the U before the first R.
     """
     for b, d in enumerate(runs):
         if i < d:
@@ -86,14 +87,13 @@ def _bracket_by_code(runs, i: int):
 def lambda_bracket(lam, i: int) -> Composition:
     """The i-th bracket-index of a strict index (i = 0 appends a zero row).
 
-    For i >= 1 a U goes into the i-th RR pair of the code word, which inserts
-    the i-th positive value absent from lam.  ``codecalc verify`` checks this
-    code route against the value insertion (suite qvertex, op bracket_code).
+    A U goes into the i-th RR pair of the code word, which for i >= 1 inserts
+    the i-th positive value absent from lam (i = 0 puts it before the first R).
+    ``codecalc verify`` checks this code route against the value insertion
+    (suite qvertex, op bracket_code).
     """
     lam = _validated_strict(lam)
     check_int(i, "bracket position", 0)
-    if i == 0:
-        return lam + (0,)
     return _rows(_bracket_by_code(encode_code(lam).runs, i))
 
 
@@ -162,7 +162,7 @@ def q_series_i_form(lam, i_max: int) -> list[QSeriesTerm]:
     runs = encode_code(lam).runs
     terms: list[QSeriesTerm] = []
     for i in range(i_max + 1):
-        index = _rows(_bracket_by_code(runs, i)) if i else lam + (0,)
+        index = _rows(_bracket_by_code(runs, i))
         n = sum(index) - base
         sign_exp = l + base - sum(index) + i
         if sign_exp != index.index(n) or i != n - l + sign_exp:

@@ -166,7 +166,7 @@ REFERENCES = {
         "r_index",
         lambda a: {"value": a["index"][a["i"] - 1] if a["i"] <= len(a["index"]) else 0},
     ),
-    "action_straighten": ("bn_action", _straightened(codes.straighten_B)),
+    "action_straighten": ("bn_action", _straightened(oracle.exponent_straighten)),
     "series_action": ("bn_action", _series_term),
     "yn_straighten": ("yn_action", _straightened(qvertex.straighten_Y_perm)),
     "preshift": (

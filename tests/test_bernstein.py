@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from codecalc import bernstein, codes
-from codecalc.core import DomainError, SignedIndexResult, ZERO
+from codecalc.core import DomainError, InternalInvariantError, SignedIndexResult, ZERO
 from codecalc.verify import _sup_closed, partitions
 
 
@@ -36,6 +36,20 @@ def test_bn_action_matches_straighten():
     for lam in partitions(4, 3):
         for n in range(0, 7):
             assert bernstein.bn_action(n, lam) == codes.straighten_B((n,) + lam)
+
+
+def test_bn_action_is_guarded_by_the_exchange_loop(monkeypatch):
+    # the action runs the plain rule of codes.RULES, so a step that adds an
+    # empty top row is caught by the loop's final row-count check
+    word_type, step = codes.RULES["plain"]
+
+    def extra_row(word, shift):
+        out = step(word, shift)
+        return out if out is None or out[1] is word else (out[0], out[1] + (0,))
+
+    monkeypatch.setitem(codes.RULES, "plain", (word_type, extra_row))
+    with pytest.raises(InternalInvariantError):
+        bernstein.bn_action(1, (3, 1))
 
 
 def test_vanishing_degrees():

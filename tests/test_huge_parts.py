@@ -30,6 +30,10 @@ def test_straighten_Y_code_at_a_huge_part_matches_perm():
 def test_bn_action_at_a_huge_part():
     # B_5 s_(M) = s_(5, M) = -s_(M - 1, 6)
     assert bernstein.bn_action(5, (M,)) == SignedIndexResult(-1, (M - 1, 6))
+    # B_{-1} s_(M) = s_(-1, M) = -s_(M - 1, 0)
+    assert bernstein.bn_action(-1, (M,)) == SignedIndexResult(-1, (M - 1, 0))
+    # a huge negative degree walks past the word: O(rows), not O(|n|)
+    assert bernstein.bn_action(-(10**15), (3, 1)).is_zero
 
 
 def test_series_at_a_huge_part_match_their_closed_forms():
