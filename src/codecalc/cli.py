@@ -274,7 +274,7 @@ def main(argv=None) -> int:
         where = f": {exc.filename!r}" if exc.filename else ""
         print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
         return 1
-    except MemoryError:
+    except (MemoryError, OverflowError):  # OverflowError: a run of 2**63 letters or more
         print("error: out of memory", file=sys.stderr)
         return 1
     except InternalInvariantError as exc:

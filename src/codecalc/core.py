@@ -155,13 +155,14 @@ def render_index(parts: Composition) -> str:
     return ",".join(str(p) for p in parts)
 
 
-def validate_composition(parts: Composition, *, minimum: int = 0) -> Composition:
-    """Return parts as a tuple after checking every entry is an int >= minimum."""
+def validate_composition(parts: Composition, *, minimum: int | None = 0) -> Composition:
+    """Return parts as a tuple after checking every entry is an int >= minimum
+    (any int when minimum is None)."""
     parts = tuple(parts)
     for p in parts:
         if not isinstance(p, int) or isinstance(p, bool):
             raise DomainError(f"index entries must be ints, got {p!r}")
-        if p < minimum:
+        if minimum is not None and p < minimum:
             raise DomainError(f"index entry {p} is below the allowed minimum {minimum}")
     return parts
 

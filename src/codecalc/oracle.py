@@ -6,8 +6,9 @@ of monomials exactly over the integers and divides them.  Both exist so the
 code-word routes can be checked against genuinely different arithmetic.
 """
 
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .core import (
     Composition,
@@ -16,12 +17,28 @@ from .core import (
     SignedIndexResult,
     ZERO,
     signed_result,
+    validate_composition,
 )
 
 
 def staircase(length: int) -> Composition:
     """The strictly decreasing shift (length-1, ..., 1, 0)."""
     return tuple(range(length - 1, -1, -1))
+
+
+def _signed_sort(values):
+    """(pairs i < j with values[i] < values[j], values sorted descending), or
+    None on a repeated value: one pass from the right, placing each value in
+    the sorted list of those to its right (Knuth, TAOCP vol. 3, 5.1.1)."""
+    seen: list = []
+    count = 0
+    for v in reversed(values):
+        at = bisect_left(seen, v)
+        if at < len(seen) and seen[at] == v:
+            return None
+        count += len(seen) - at
+        seen.insert(at, v)
+    return count, seen[::-1]
 
 
 def exponent_straighten(parts) -> SignedIndexResult:
@@ -31,24 +48,13 @@ def exponent_straighten(parts) -> SignedIndexResult:
     descending and subtract the staircase again; the sign is (-1) per pair out
     of order.  Tolerates negative entries.
     """
-    parts = tuple(parts)
-    for p in parts:
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise DomainError(f"index entries must be ints, got {p!r}")
+    parts = validate_composition(parts, minimum=None)
     shifts = staircase(len(parts))
-    exps = tuple(p + s for p, s in zip(parts, shifts))
-    if len(set(exps)) < len(exps):
+    out = _signed_sort([p + s for p, s in zip(parts, shifts)])
+    if out is None:
         return ZERO
-    inversions = sum(
-        1
-        for i in range(len(exps))
-        for j in range(i + 1, len(exps))
-        if exps[i] < exps[j]
-    )
-    straightened = tuple(
-        e - s for e, s in zip(sorted(exps, reverse=True), shifts)
-    )
-    return signed_result(inversions, straightened)
+    inversions, exps = out
+    return signed_result(inversions, tuple(e - s for e, s in zip(exps, shifts)))
 
 
 class IntPolynomial:
@@ -173,13 +179,8 @@ class IntPolynomial:
 
 
 def _permutation_sign(perm) -> int:
-    inversions = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
+    # the pairs in order in the reversed permutation are its inversions
+    return -1 if _signed_sort(perm[::-1])[0] % 2 else 1
 
 
 def bialternant(exponents) -> IntPolynomial:
@@ -201,14 +202,13 @@ def bialternant(exponents) -> IntPolynomial:
 def vandermonde_product(nvars: int) -> IntPolynomial:
     """The expanded product of (x_i - x_j) over all i < j."""
     result = IntPolynomial(nvars, {(0,) * nvars: 1})
-    for i in range(nvars):
-        for j in range(i + 1, nvars):
-            xi = [0] * nvars
-            xi[i] = 1
-            xj = [0] * nvars
-            xj[j] = 1
-            diff = IntPolynomial(nvars, {tuple(xi): 1, tuple(xj): -1})
-            result = result * diff
+    for i, j in combinations(range(nvars), 2):
+        xi = [0] * nvars
+        xi[i] = 1
+        xj = [0] * nvars
+        xj[j] = 1
+        diff = IntPolynomial(nvars, {tuple(xi): 1, tuple(xj): -1})
+        result = result * diff
     return result
 
 

@@ -21,20 +21,13 @@ from .core import (
     validate_composition,
 )
 from .codes import _rows, _signed, encode_code, straighten_code_trace
+from .oracle import _signed_sort
 
 
 def straighten_Y_perm(parts) -> SignedIndexResult:
     """Straighten by sorting: zero on a repeated entry, else (-1) per out-of-order pair."""
-    parts = validate_composition(parts)
-    if len(set(parts)) < len(parts):
-        return ZERO
-    inversions = sum(
-        1
-        for i in range(len(parts))
-        for j in range(i + 1, len(parts))
-        if parts[i] < parts[j]
-    )
-    return signed_result(inversions, tuple(sorted(parts, reverse=True)))
+    out = _signed_sort(validate_composition(parts))
+    return ZERO if out is None else signed_result(*out)
 
 
 def straighten_Y_code(parts) -> SignedIndexResult:

@@ -534,5 +534,5 @@ SUITES = {
 
 # Largest ranges ``codecalc verify`` accepts.  Oracle time grows factorially in
 # max_len, bracket checks linearly in i_max and n_max; at this corner the oracle
-# suite takes about 19 s and qvertex and shifted 6 s and 3 s on a 2-CPU x86 host.
+# suite takes 12-15 s and qvertex and shifted 4-5 s and 2-3 s on a 2-CPU x86 host.
 RANGE_MAX = {"max_part": 8, "max_len": 4, "i_max": 1000, "n_max": 1000}

@@ -72,3 +72,19 @@ def test_cli_hands_the_word_between_ops_at_a_huge_part(capsys, method):
     argv = ["straighten", "--algebra", "q", "--method", method, "--format", "text", f"1,{M}"]
     assert cli.main(argv) == 0
     assert capsys.readouterr() == (f"-1 * Q[{M},1]\n", "")
+
+
+# a part of 2**63 or more on a path that spells the word out one letter per
+# column: "R" * d overflows before anything is allocated
+OVERFLOWING = [
+    ["code", "--index", "9223372036854775808"],
+    ["code", "--shifted", "--index", "99999999999999999999"],
+    ["straighten", "--algebra", "b", "--method", "reading", "1,99999999999999999999"],
+    ["straighten", "--algebra", "b", "--method", "all", "1,99999999999999999999"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERFLOWING, ids=" ".join)
+def test_a_letter_count_past_the_index_size_ends_in_an_error_line(capsys, argv):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", "error: out of memory\n")

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from codecalc import oracle
+from codecalc import oracle, qvertex, verify
 from codecalc.core import DomainError, InternalInvariantError, SignedIndexResult, ZERO
 
 
@@ -36,6 +36,57 @@ def test_exponent_straighten_tolerates_negative_entries():
     assert oracle.exponent_straighten((-1, 1)) == SignedIndexResult(-1, (0, 0))
     assert oracle.exponent_straighten((-1, 0)).is_zero  # exponents (0, 0) collide
     assert oracle.exponent_straighten((-2, 1)) == SignedIndexResult(-1, (0, -1))
+
+
+def _signed_sort_by_pairs(values):
+    """The signed sort written out: a set for repeats, every pair, sorted()."""
+    if len(set(values)) < len(values):
+        return None
+    count = sum(
+        1 for i in range(len(values)) for j in range(i + 1, len(values)) if values[i] < values[j]
+    )
+    return count, sorted(values, reverse=True)
+
+
+def test_signed_sort_matches_the_pair_count():
+    for length in range(8):
+        for values in itertools.product(range(-2, 3), repeat=length):
+            assert oracle._signed_sort(values) == _signed_sort_by_pairs(values), values
+
+
+# suite -> the checks with the helper on exactly one side
+SIGNED_SORT_CHECKS = {
+    "codes": {"straighten_code", "reading_straighten", "reading_raw"},
+    "bernstein": {"action_straighten"},
+    "qvertex": {"straighten_Y", "yn_straighten"},
+    "shifted": {"shifted_straighten"},
+    "oracle": {"exponent_vs_code", "vandermonde"},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SIGNED_SORT_CHECKS))
+def test_sweeps_report_a_broken_signed_sort(monkeypatch, suite):
+    # the sorting references share one helper; a count off by one must show
+    # wherever a sweep compares one of them with a route that does not use it
+    signed_sort = oracle._signed_sort
+
+    def off_by_one(values):
+        out = signed_sort(values)
+        return out and (out[0] + 1, out[1])
+
+    for home in (oracle, qvertex):
+        monkeypatch.setattr(home, "_signed_sort", off_by_one)
+    # schur_poly caches bialternants; clear them, so none signed by one helper
+    # meets one signed by the other
+    caches = (oracle._schur_cached, oracle._staircase_bialternant)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        report = verify.SUITES[suite](3, 2)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert {f["input"]["op"] for f in report.failures} == SIGNED_SORT_CHECKS[suite]
 
 
 def test_int_polynomial_arithmetic():

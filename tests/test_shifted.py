@@ -142,6 +142,23 @@ def test_preshift_relates_the_q_rule_to_the_shifted_rule_step_by_step():
     assert (distinct, repeated) == (3620, 15988)
 
 
+def test_the_q_bracket_is_the_shifted_r_to_u_read_through_the_staircase():
+    # The bracket side of the same relation: a U put into the i-th RR pair of
+    # the plain word gives the rows of the preshifted word with its i-th R
+    # turned into a U, read with the staircase.
+    cases = 0
+    for length in range(7):
+        for lam in itertools.combinations(range(9, 0, -1), length):
+            word = codes.encode_code(lam)
+            preshifted = shifted.preshift(word).runs
+            for i in range(30):
+                assert codes._rows(qvertex._bracket_by_code(word.runs, i)) == codes._rows(
+                    codes._replace_ith_r(preshifted, i), 1
+                ), (lam, i)
+                cases += 1
+    assert cases == 13980
+
+
 BRACKET_CASES = [
     ((4, 2, 1), 1, (4, 3, 2, 1)),
     ((3, 1), 2, (4, 3, 1)),
