@@ -188,72 +188,158 @@ def _cmd_verify(args) -> int:
             out.close()
 
 
+def _plain(arg: str) -> bool:
+    """A value as argparse reads it in every version: no leading "-", or -[0-9]+."""
+    return arg[:1] != "-" or _INT.fullmatch(arg) is not None
+
+
+def _table(parser, actions, exclusive=()) -> tuple:
+    """A command's table for _match, read from the Actions its add_argument calls
+    returned: option string -> action, the positional, the required dests, the
+    exclusive dests and the defaults, the handler included."""
+    return (
+        {s: a for a in actions for s in a.option_strings},
+        next((a for a in actions if not a.option_strings), None),
+        {a.dest for a in actions if a.required},
+        {a.dest for a in exclusive},
+        {**{a.dest: a.default for a in actions}, "handler": parser.get_default("handler")},
+    )
+
+
+def _match(table, args):
+    """The Namespace the command's parse_args gives for args in plain form, else None.
+
+    Plain: exact option strings, --long=value, values for which _plain holds,
+    each dest at most once, every required dest, and one dest of the exclusive
+    group (the one group, code's, is required).  Anything else (help,
+    abbreviations, "--", -n5, repeats, errors) is left to argparse, which
+    writes every message, so this path has none of its own.
+    """
+    options, positional, required, exclusive, defaults = table
+    values = {}
+    args = iter(args)
+    for arg in args:
+        if _plain(arg):
+            action, value = positional, arg
+        elif arg in options:
+            action = options[arg]
+            if action.nargs == 0:
+                value = action.const
+            else:
+                value = next(args, None)
+                if value is None or not _plain(value):
+                    return None
+        else:
+            name, eq, value = arg.partition("=")
+            action = options.get(name) if eq and name[:2] == "--" else None
+            if action is not None and action.nargs == 0:
+                return None
+        if action is None or action.dest in values:
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except ValueError:  # _int's refusal: argparse words the message
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not required <= values.keys() or (exclusive and len(exclusive & values.keys()) != 1):
+        return None
+    return argparse.Namespace(**{**defaults, **values})
+
+
 # Built on first use and shared by every main() in the process: parse_args fills
 # a new Namespace each call, and help and usage errors read the terminal width
 # and sys.stdout/sys.stderr when they print.  ``commands`` maps each command to
-# its parser, so main parses a known command with that parser alone: the
-# top-level pass would hand it the same arguments, ``-h`` and ``--`` included,
-# and adds only the help, the no-command and the invalid-choice messages.
+# its parser, and ``tables`` to its _table, read from the Actions that
+# add_argument returned (documented attributes only).  main answers a plain
+# argv of a known command from its table, with no argparse pass; any other argv
+# of a known command goes to that command's parser alone, since the top-level
+# pass would hand it the same arguments.  The top-level parser runs only for
+# help, for no command and for an unknown one.
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="codecalc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    tables = {}
 
     def add_format(p):
-        p.add_argument("--format", choices=("text", "json"), default=None)
+        return p.add_argument("--format", choices=("text", "json"), default=None)
 
     p = sub.add_parser("code", parents=[], help="encode an index or decode a word")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--index", help="index to encode, e.g. 4,2,2,1")
-    group.add_argument(
-        "--decode", dest="letters", metavar="DECODE", help="letter word to decode, e.g. RURUURRU"
-    )
-    p.add_argument("--shifted", action="store_true", help="use shifted codes")
-    add_format(p)
+    exclusive = [
+        group.add_argument("--index", help="index to encode, e.g. 4,2,2,1"),
+        group.add_argument(
+            "--decode",
+            dest="letters",
+            metavar="DECODE",
+            help="letter word to decode, e.g. RURUURRU",
+        ),
+    ]
+    actions = exclusive + [
+        p.add_argument("--shifted", action="store_true", help="use shifted codes"),
+        add_format(p),
+    ]
     p.set_defaults(handler=_cmd_code)
+    tables["code"] = _table(p, actions, exclusive)
 
     p = sub.add_parser("straighten", help="straighten an index")
-    p.add_argument("index", help="index to straighten, e.g. 1,3,1,6,2")
-    p.add_argument("--algebra", choices=("b", "q"), required=True)
-    p.add_argument(
-        "--method",
-        choices=("code", "reading", "perm", "shifted", "oracle", "all"),
-        default="code",
-    )
-    add_format(p)
+    actions = [
+        p.add_argument("index", help="index to straighten, e.g. 1,3,1,6,2"),
+        p.add_argument("--algebra", choices=("b", "q"), required=True),
+        p.add_argument(
+            "--method",
+            choices=("code", "reading", "perm", "shifted", "oracle", "all"),
+            default="code",
+        ),
+        add_format(p),
+    ]
     p.set_defaults(handler=_cmd_straighten)
+    tables["straighten"] = _table(p, actions)
 
     p = sub.add_parser("act", help="apply one degree-n operator to an index")
-    p.add_argument("--algebra", choices=("b", "q"), required=True)
-    p.add_argument("-n", "--degree", dest="n", type=_int, required=True)
-    p.add_argument("--index", default="", help="index acted on (default: empty)")
-    add_format(p)
+    actions = [
+        p.add_argument("--algebra", choices=("b", "q"), required=True),
+        p.add_argument("-n", "--degree", dest="n", type=_int, required=True),
+        p.add_argument("--index", default="", help="index acted on (default: empty)"),
+        add_format(p),
+    ]
     p.set_defaults(handler=_cmd_act)
+    tables["act"] = _table(p, actions)
 
     p = sub.add_parser("series", help="expand an operator series on an index")
-    p.add_argument("--algebra", choices=("b", "q"), required=True)
-    p.add_argument("--index", default="", help="index expanded on (default: empty)")
-    p.add_argument("--i-max", type=_int, default=None, help="enumerate terms i <= i-max")
-    p.add_argument("--n-max", type=_int, default=None, help="enumerate t-exponents <= n-max")
-    add_format(p)
+    actions = [
+        p.add_argument("--algebra", choices=("b", "q"), required=True),
+        p.add_argument("--index", default="", help="index expanded on (default: empty)"),
+        p.add_argument("--i-max", type=_int, default=None, help="enumerate terms i <= i-max"),
+        p.add_argument("--n-max", type=_int, default=None, help="enumerate t-exponents <= n-max"),
+        add_format(p),
+    ]
     p.set_defaults(handler=_cmd_series)
+    tables["series"] = _table(p, actions)
 
     p = sub.add_parser("verify", help="run verification sweeps")
-    p.add_argument(
-        "--suite",
-        choices=_SUITES + ("all",),
-        default="all",
-    )
-    p.add_argument("--max-part", type=_int, default=4)
-    p.add_argument("--max-len", type=_int, default=3)
-    p.add_argument("--i-max", type=_int, default=10)
-    p.add_argument("--n-max", type=_int, default=5)
-    p.add_argument("--file", default=None, help="corpus file to replay (default: shipped)")
-    p.add_argument("--output", default="-", help="failure JSONL destination (default: stdout)")
-    add_format(p)
+    actions = [
+        p.add_argument(
+            "--suite",
+            choices=_SUITES + ("all",),
+            default="all",
+        ),
+        p.add_argument("--max-part", type=_int, default=4),
+        p.add_argument("--max-len", type=_int, default=3),
+        p.add_argument("--i-max", type=_int, default=10),
+        p.add_argument("--n-max", type=_int, default=5),
+        p.add_argument("--file", default=None, help="corpus file to replay (default: shipped)"),
+        p.add_argument("--output", default="-", help="failure JSONL destination (default: stdout)"),
+        add_format(p),
+    ]
     p.set_defaults(handler=_cmd_verify)
+    tables["verify"] = _table(p, actions)
 
     parser.commands = dict(sub.choices)
+    parser.tables = tables
     return parser
 
 
@@ -262,7 +348,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:] if argv is None else list(argv)
         parser = _build_parser()
         if argv and argv[0] in parser.commands:
-            args = parser.commands[argv[0]].parse_args(argv[1:])
+            args = _match(parser.tables[argv[0]], argv[1:])
+            if args is None:
+                args = parser.commands[argv[0]].parse_args(argv[1:])
         else:
             args = parser.parse_args(argv)
         args.format = _resolve_format(args)

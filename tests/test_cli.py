@@ -154,11 +154,12 @@ INT_FLAGS = [
 ]
 
 
+INT_VALUES = ["\u0663", "\uff13", "1_0", "+2", " 2", "2\n"]
+
+
 @pytest.mark.parametrize("prefix", INT_FLAGS, ids=[p[0] + p[-1] for p in INT_FLAGS])
 @pytest.mark.parametrize(
-    "value",
-    ["\u0663", "\uff13", "1_0", "+2", " 2", "2\n"],
-    ids=["arabic-indic", "fullwidth", "underscore", "plus", "space", "newline"],
+    "value", INT_VALUES, ids=["arabic-indic", "fullwidth", "underscore", "plus", "space", "newline"]
 )
 def test_integer_flags_take_ascii_digits_only(capsys, prefix, value):
     code, out, err = _run(capsys, *prefix, value)
@@ -444,34 +445,82 @@ DISPATCH_EDGES = [
     ("series", "--algebra", "q", "--index", "2", "--n-max", "3", "extra"),
 ]
 
+# (argv, whether the table takes it): plain forms at the edge of what the table
+# takes, and near misses that it leaves to argparse
+PLAIN_EDGES = [
+    (("act", "--algebra", "b", "-n", "-2", "--index", "2"), True),
+    (("act", "--algebra", "b", "-n=-2", "--index", "2"), False),
+    (("code", "--index=", "--shifted"), True),
+    (("code", "--index=2", "--shifted=x"), False),
+    (("straighten", "--algebra", "b", ""), True),
+    (("straighten", "--algebra", "b", "-1"), True),
+    (("straighten", "--algebra=b", "--format=json", "1,3,1,6,2"), True),
+    (("straighten", "--algebra", "b", "--format", "json", "--format", "text", "1,2"), False),
+]
 
+
+# the table, the command's own parser and the top-level parser answer alike
 @pytest.mark.parametrize(
     "argv,env",
     [(argv, None) for argv, _ in GOLDEN_TEXT]
     + [(argv, None) for argv in USAGE_ERRORS + DISPATCH_EDGES]
-    + REUSE_SEQUENCE,
+    + REUSE_SEQUENCE
+    + [(prefix + (value,), None) for prefix in INT_FLAGS for value in INT_VALUES]
+    + [(argv, None) for argv, _ in PLAIN_EDGES],
 )
 def test_a_command_parser_answers_as_the_top_level_parse(capsys, monkeypatch, argv, env):
-    direct = _outcome(capsys, monkeypatch, argv, env)
-    monkeypatch.setattr(cli._build_parser(), "commands", {})  # every argv takes the full parse
-    assert _outcome(capsys, monkeypatch, argv, env) == direct
+    parser = cli._build_parser()
+    if argv and argv[0] in parser.commands:
+        ns = cli._match(parser.tables[argv[0]], argv[1:])
+        if ns is not None:
+            assert vars(ns) == vars(parser.commands[argv[0]].parse_args(argv[1:]))
+    table = _outcome(capsys, monkeypatch, argv, env)
+    monkeypatch.setattr(cli, "_match", lambda table, args: None)  # argparse parses every argv
+    assert _outcome(capsys, monkeypatch, argv, env) == table
+    monkeypatch.setattr(parser, "commands", {})  # every argv takes the top-level parse
+    assert _outcome(capsys, monkeypatch, argv, env) == table
+
+
+def _record_parses(monkeypatch, parser):
+    """The parse_known_args calls of the top-level parser and every command parser,
+    as (prog, args) in the order made."""
+    calls = []
+
+    def recorded(p):
+        def parse_known_args(*args, **kwargs):
+            calls.append((p.prog, *args))
+            return type(p).parse_known_args(p, *args, **kwargs)
+
+        return parse_known_args
+
+    for p in [parser, *parser.commands.values()]:
+        monkeypatch.setattr(p, "parse_known_args", recorded(p))
+    return calls
 
 
 def test_a_known_command_skips_the_top_level_parse(capsys, monkeypatch):
     parser = cli._build_parser()
-    calls = []
-
-    def recorded(*args, **kwargs):
-        calls.append(args)
-        return type(parser).parse_known_args(parser, *args, **kwargs)
-
-    monkeypatch.setattr(parser, "parse_known_args", recorded)
+    calls = _record_parses(monkeypatch, parser)
     for argv, expected in GOLDEN_TEXT:
         assert _run(capsys, *argv) == (0, expected, ""), argv
     code, out, _ = _run(capsys, "verify", "--suite", "corpus")
     assert code == 0 and out.startswith("suite=corpus cases=")
     assert {argv[0] for argv, _ in GOLDEN_TEXT} | {"verify"} == set(parser.commands)
-    assert calls == []
+    assert calls == []  # every plain argv is answered from its command's table
+
+    for argv, taken in PLAIN_EDGES:
+        _outcome(capsys, monkeypatch, argv, None)
+        assert calls == ([] if taken else [(f"codecalc {argv[0]}", list(argv[1:]), None)]), argv
+        calls.clear()
+
+    for argv in [
+        ("straighten", "--alg", "b", "1,2"),
+        ("act", "--algebra", "b", "-n5", "--index", "2"),
+        ("straighten", "--help"),
+    ]:
+        _outcome(capsys, monkeypatch, argv, None)
+        assert calls == [(f"codecalc {argv[0]}", list(argv[1:]), None)], argv
+        calls.clear()
 
     for argv, ends, message in [
         ((), 1, "error: the following arguments are required: command\n"),
@@ -480,5 +529,5 @@ def test_a_known_command_skips_the_top_level_parse(capsys, monkeypatch):
     ]:
         code, out, err = _outcome(capsys, monkeypatch, argv, None)
         assert code == ends and message in out + err, argv
-        assert calls == [(list(argv), None)]
+        assert calls == [("codecalc", list(argv), None)]
         calls.clear()

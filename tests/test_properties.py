@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codecalc import bernstein, codes, ops, qvertex, shifted, verify
+from codecalc import bernstein, cli, codes, ops, qvertex, shifted, verify
 from codecalc.cli import main
-from codecalc.core import ZERO, SignedIndexResult
+from codecalc.core import ZERO, SignedIndexResult, canonical_json
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -238,3 +240,114 @@ def test_cli_fuzz_exits_0_or_1_without_traceback(argv):
     assert code in (0, 1), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert (code == 0) == (err.getvalue() == "")
+
+
+# The exit contract over the CLI grammar: each command with its options in any
+# order, apart, joined by "=" or attached (-n5), abbreviated, repeated or left
+# out, and the straighten index after "--" or among the options.  Index entries
+# are small, or past what a word spelled out letter by letter can hold (2**63,
+# and 4,301 digits, past int()'s default limit), so no example allocates much.
+# Plain forms and valid values are drawn most often: about two in five
+# examples answer, and the rest end in errors of many kinds.
+_small = st.integers(0, 60).map(str)
+ENTRIES = ["-0", "-1", str(2**63), "1" * 4301, "٣", "３", "1_0", "+2", "x"]
+contract_index_texts = st.tuples(
+    st.lists(_small | _small | _small | st.sampled_from(ENTRIES), max_size=4),
+    st.sampled_from([",", " ", ", ", "\t", ",,"]),
+    st.sampled_from(["", "", " ", ","]),
+).map(lambda t: t[2] + t[1].join(t[0]))
+contract_words = st.text(alphabet="RLU", max_size=24) | st.text(alphabet="RLUrlxÜ ", max_size=8)
+int_texts = st.integers(-3, 40).map(str) | st.sampled_from(["-0", "10001", str(2**63), "1" * 4301])
+
+
+def _option(names, values):
+    """An option with its value: apart, or joined by "=" or by nothing."""
+    joins = st.sampled_from([None] * 6 + ["="] * 3 + [""])
+    return st.tuples(st.sampled_from(names), joins, values).map(
+        lambda t: [t[0], t[2]] if t[1] is None else [t[0] + t[1] + t[2]]
+    )
+
+
+_algebra = _option(["--algebra", "--algebra", "--alg"], st.sampled_from(["b", "q"] * 4 + ["x"]))
+_format = _option(
+    ["--format", "--format", "--form"], st.sampled_from(["text", "json"] * 4 + ["xml"])
+)
+_index = _option(["--index", "--index", "--ind"], contract_index_texts)
+# each command's options; code's --index and --decode, and series' --i-max and
+# --n-max, share an entry, so that both appear only when it repeats
+GRAMMAR = {
+    "straighten": [
+        _algebra,
+        _option(["--method", "--method", "--meth"], st.sampled_from(METHODS * 2 + ("x",))),
+        _format,
+    ],
+    "code": [
+        _index | _option(["--decode", "--decode", "--dec"], contract_words),
+        st.sampled_from([["--shifted"]] * 4 + [["--shift"], ["--shifted=x"]]),
+        _format,
+    ],
+    "act": [_algebra, _option(["-n", "-n", "--degree", "--deg"], int_texts), _index, _format],
+    "series": [
+        _algebra,
+        _index,
+        _option(["--i-max", "--i-max", "--i-m", "--i"], int_texts)
+        | _option(["--n-max", "--n-max", "--n-m"], int_texts),
+        _format,
+    ],
+}
+
+
+@st.composite
+def contract_argvs(draw):
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    times = st.sampled_from([1] * 8 + [0, 2])
+    pieces = [draw(opt) for opt in GRAMMAR[command] for _ in range(draw(times))]
+    pieces = draw(st.permutations(pieces))
+    if command == "straighten":
+        text = draw(contract_index_texts)
+        if draw(st.booleans()):
+            pieces.append(["--", text])
+        else:
+            pieces.insert(draw(st.integers(0, len(pieces))), [text])
+    return [command] + [arg for piece in pieces for arg in piece]
+
+
+def _ends(argv, match=None):
+    """main(argv) as a process would end: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        if match is not None:
+            stack.enter_context(mock.patch.object(cli, "_match", match))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@_SETTINGS
+@given(contract_argvs())
+def test_cli_exit_contract(argv):
+    code, out, err = _ends(argv)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in out + err
+    parser = cli._build_parser()
+    if code == 0:
+        assert err == "", argv
+        # the JSON form parses, and the text form renders the same result
+        end = argv.index("--") if "--" in argv else len(argv)
+        _, as_json, _ = _ends(argv[:end] + ["--format", "json"] + argv[end:])
+        result = json.loads(as_json)
+        assert as_json == canonical_json(result) + "\n"
+        args = vars(parser.commands[argv[0]].parse_args(argv[1:]))
+        if args["format"] != "json":
+            assert out == cli._text(result, args.get("algebra", "").upper())
+    else:
+        assert err.splitlines()[-1].startswith(("error:", "internal error:")), (argv, err)
+    # argparse, parsing every argv, ends each alike
+    assert _ends(argv, match=lambda table, args: None) == (code, out, err)
+    ns = cli._match(parser.tables[argv[0]], argv[1:])
+    if ns is not None:
+        assert vars(ns) == vars(parser.commands[argv[0]].parse_args(argv[1:]))
