@@ -145,7 +145,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import verify  # imported here so that other commands start without it
+    from . import verify  # imported here so that no other command loads it at start
     for name, top in verify.RANGE_MAX.items():
         check_int(getattr(args, name), name, 0, top)
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
@@ -251,13 +251,10 @@ def _match(table, args):
 
 # Built on first use and shared by every main() in the process: parse_args fills
 # a new Namespace each call, and help and usage errors read the terminal width
-# and sys.stdout/sys.stderr when they print.  ``commands`` maps each command to
-# its parser, and ``tables`` to its _table, read from the Actions that
-# add_argument returned (documented attributes only).  main answers a plain
-# argv of a known command from its table, with no argparse pass; any other argv
-# of a known command goes to that command's parser alone, since the top-level
-# pass would hand it the same arguments.  The top-level parser runs only for
-# help, for no command and for an unknown one.
+# and sys.stdout/sys.stderr when they print.  ``tables`` maps each command to its
+# _table, read from the Actions that add_argument returned (documented
+# attributes only).  main answers a plain argv of a known command from its
+# table, with no argparse pass, and leaves any other argv to the top-level parse.
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="codecalc", description=__doc__.splitlines()[0])
@@ -338,7 +335,6 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_verify)
     tables["verify"] = _table(p, actions)
 
-    parser.commands = dict(sub.choices)
     parser.tables = tables
     return parser
 
@@ -347,11 +343,9 @@ def main(argv=None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
         parser = _build_parser()
-        if argv and argv[0] in parser.commands:
-            args = _match(parser.tables[argv[0]], argv[1:])
-            if args is None:
-                args = parser.commands[argv[0]].parse_args(argv[1:])
-        else:
+        table = parser.tables.get(argv[0]) if argv else None
+        args = _match(table, argv[1:]) if table else None
+        if args is None:
             args = parser.parse_args(argv)
         args.format = _resolve_format(args)
         return args.handler(args)

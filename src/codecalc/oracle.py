@@ -16,6 +16,7 @@ from .core import (
     InternalInvariantError,
     SignedIndexResult,
     ZERO,
+    check_int,
     signed_result,
     validate_composition,
 )
@@ -186,11 +187,10 @@ def _permutation_sign(perm) -> int:
 def bialternant(exponents) -> IntPolynomial:
     """Alternating sum over all permutations of a monomial's exponent vector.
 
-    Repeated exponents cancel to the zero polynomial on their own.
+    The exponents must be ints >= 0; anything else, bools included, raises
+    DomainError.  Repeated exponents cancel to the zero polynomial on their own.
     """
-    exponents = tuple(exponents)
-    if any(e < 0 for e in exponents):
-        raise DomainError(f"negative exponent in {exponents!r}")
+    exponents = validate_composition(exponents)
     n = len(exponents)
     acc: dict[tuple[int, ...], int] = {}
     for perm in permutations(range(n)):
@@ -230,14 +230,11 @@ def _schur_cached(parts: Composition, nvars: int) -> IntPolynomial:
 def schur_poly(parts, nvars: int) -> IntPolynomial:
     """Schur polynomial of an index in x1..xnvars, as a bialternant quotient.
 
-    Accepts any index with entries >= 0 (not just partitions); out-of-order
+    Accepts any index of ints >= 0 (not just partitions) and an int nvars >=
+    len(parts); anything else, bools included, raises DomainError.  Out-of-order
     indexes come out as the signed straightened polynomial, repeated shifted
     exponents as the zero polynomial.
     """
-    parts = tuple(parts)
-    for p in parts:
-        if not isinstance(p, int) or isinstance(p, bool) or p < 0:
-            raise DomainError(f"index entries must be ints >= 0, got {p!r}")
-    if nvars < len(parts):
-        raise DomainError(f"need at least {len(parts)} variables, got {nvars}")
+    parts = validate_composition(parts)
+    check_int(nvars, "nvars", len(parts))
     return _schur_cached(parts, nvars)

@@ -471,7 +471,7 @@ def _corpus_entry(line: str):
     """(op, args, expected) of one corpus line, or None when it is malformed."""
     try:
         entry = json.loads(line)
-    except ValueError:
+    except (ValueError, RecursionError):  # RecursionError: nested past the decoder's limit
         return None
     if not (
         isinstance(entry, dict)

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from codecalc import oracle, qvertex, verify
+from codecalc import ops, oracle, qvertex, verify
 from codecalc.core import DomainError, InternalInvariantError, SignedIndexResult, ZERO
 
 
@@ -175,10 +175,15 @@ def test_schur_poly(mu, nvars, rendered):
 
 
 def test_schur_poly_rejects_bad_input():
+    for parts, nvars in [((2, 1), 1), ((-1,), 1), ((1,), True), ((2, 1), 2.0), ((1.0,), 1)]:
+        with pytest.raises(DomainError):
+            ops.run("schur_poly", {"index": parts, "nvars": nvars})
+
+
+@pytest.mark.parametrize("exponents", [(1.5, 0), (True, False), (-1, 0)])
+def test_bialternant_rejects_bad_exponents(exponents):
     with pytest.raises(DomainError):
-        oracle.schur_poly((2, 1), 1)
-    with pytest.raises(DomainError):
-        oracle.schur_poly((-1,), 1)
+        ops.run("bialternant", {"exponents": exponents})
 
 
 def test_schur_straightening_law_small():

@@ -341,7 +341,7 @@ def test_cli_exit_contract(argv):
         _, as_json, _ = _ends(argv[:end] + ["--format", "json"] + argv[end:])
         result = json.loads(as_json)
         assert as_json == canonical_json(result) + "\n"
-        args = vars(parser.commands[argv[0]].parse_args(argv[1:]))
+        args = vars(parser.parse_args(argv))
         if args["format"] != "json":
             assert out == cli._text(result, args.get("algebra", "").upper())
     else:
@@ -350,4 +350,4 @@ def test_cli_exit_contract(argv):
     assert _ends(argv, match=lambda table, args: None) == (code, out, err)
     ns = cli._match(parser.tables[argv[0]], argv[1:])
     if ns is not None:
-        assert vars(ns) == vars(parser.commands[argv[0]].parse_args(argv[1:]))
+        assert {**vars(ns), "command": argv[0]} == vars(parser.parse_args(argv))
