@@ -79,7 +79,7 @@ class SeriesTerm(_Value):
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "t_exp", t_exp)
         object.__setattr__(self, "sign_exp", sign_exp)
-        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "index", tuple(index))
 
     @property
     def sign(self) -> int:
@@ -107,9 +107,7 @@ def _series(lam: Composition, i_max: int) -> list[SeriesTerm]:
         sign_exp = i - 1 - t_exp
         if sign_exp < 0:
             raise InternalInvariantError(f"negative sign exponent at i={i} for {lam!r}")
-        terms.append(
-            SeriesTerm(family="schur", i=i, t_exp=t_exp, sign_exp=sign_exp, index=index)
-        )
+        terms.append(SeriesTerm._make("schur", i, t_exp, sign_exp, index))
     return terms
 
 

@@ -111,8 +111,10 @@ class CodeWord(_Value):
 
     def __init__(self, letters: str) -> None:
         w = letters
+        if type(w) is not str:
+            raise InvalidCodeError(f"a code word is a str of letters, not {type(w).__name__}")
         _check_alphabet(w)
-        if type(w) is not str or "RL" in w or "LR" in w:  # no R next to an L
+        if "RL" in w or "LR" in w:  # no R next to an L
             raise InvalidCodeError(f"word {w!r} is not reduced")
         if w:
             if w[0] == "L":
@@ -150,16 +152,13 @@ class ShiftedCodeWord(CodeWord):
 
 
 def _built(cls, runs):
-    """Wrap the runs of a word this package built itself, skipping ``cls``'s
-    validation.
+    """Wrap the runs of a word this package built itself through ``cls._make``,
+    skipping ``cls``'s validation; its letters render on first read.
 
     Only for words valid by construction; verify re-validates every encoder's
     output through the public constructor.
     """
-    word = object.__new__(cls)
-    object.__setattr__(word, "runs", runs)
-    object.__setattr__(word, "_letters", None)
-    return word
+    return cls._make(runs, None)
 
 
 def _as_word(cls, word):

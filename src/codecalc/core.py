@@ -10,8 +10,12 @@ Composition = tuple[int, ...]
 
 
 # json.dumps builds a new encoder on every call once it gets non-default
-# arguments; one shared encoder gives the same bytes for less work.
+# arguments, and JSONEncoder.encode builds its C encoder anew on every call.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# what JSONEncoder.iterencode hands the C encoder for _CANONICAL, markers aside
+_SETTINGS = (
+    _CANONICAL.default, json.encoder.encode_basestring_ascii, None, ":", ",", True, False, True
+)
 
 
 def canonical_json(obj) -> str:
@@ -19,7 +23,10 @@ def canonical_json(obj) -> str:
 
     Canonical output round-trips byte-identically through json.loads.
     """
-    return _CANONICAL.encode(obj)
+    make = json.encoder.c_make_encoder
+    if make is None:  # no C accelerator: the encoder's own Python path
+        return _CANONICAL.encode(obj)
+    return "".join(make({}, *_SETTINGS)(obj, 0))  # fresh markers: cycles still raise
 
 
 class CalcError(Exception):
@@ -48,7 +55,11 @@ class _Value:
     value compares by type and fields, hashes by fields, prints the dataclass
     repr and refuses assignment; pickle and copy rebuild it through its
     validating constructor.  ``==`` and hash read the public ``__slots__``:
-    ``CodeWord``'s runs, not the letters rendered from them."""
+    ``CodeWord``'s runs, not the letters rendered from them.
+
+    ``cls._make(*slots)`` builds a value from its ``__slots__`` in order
+    without running ``__init__``: only for values the package computed, whose
+    checks would pass (tests/test_core.py compares them with validated ones)."""
 
     __slots__ = ()
 
@@ -57,20 +68,27 @@ class _Value:
         if "__match_args__" not in cls.__dict__:
             return
         # Compiled per type, as dataclasses does: reading the fields through
-        # operator.attrgetter made == and hash about 1.7x slower.
-        mine = "".join(f"self.{name}, " for name in cls.__slots__ if name[0] != "_")
+        # operator.attrgetter made == and hash about 1.7x slower, and setting
+        # them through object.__setattr__ made _make about 1.4x slower.
+        slots = cls.__slots__
+        mine = "".join(f"self.{name}, " for name in slots if name[0] != "_")
         theirs = mine.replace("self.", "other.")
-        namespace: dict = {}
+        namespace = {f"_set{name}": cls.__dict__[name].__set__ for name in slots}
         exec(
             "def __eq__(self, other):\n"
             "    if other.__class__ is self.__class__:\n"
             f"        return ({mine}) == ({theirs})\n"
             "    return NotImplemented\n"
             "def __hash__(self):\n"
-            f"    return hash(({mine}))\n",
+            f"    return hash(({mine}))\n"
+            f"def _make(cls, {', '.join(slots)}):\n"
+            "    self = object.__new__(cls)\n"
+            + "".join(f"    _set{name}(self, {name})\n" for name in slots)
+            + "    return self\n",
             namespace,
         )
         cls.__eq__, cls.__hash__ = namespace["__eq__"], namespace["__hash__"]
+        cls._make = classmethod(namespace["_make"])
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
@@ -117,8 +135,9 @@ ZERO = SignedIndexResult(0)
 
 
 def signed_result(sign_exponent: int, index: Composition) -> SignedIndexResult:
-    """Build a nonzero result with sign (-1)**sign_exponent."""
-    return SignedIndexResult(-1 if sign_exponent % 2 else 1, index)
+    """Build a nonzero result with sign (-1)**sign_exponent from a tuple of
+    ints the package computed, skipping the constructor's checks."""
+    return SignedIndexResult._make(-1 if sign_exponent % 2 else 1, index)
 
 
 def negate(result: SignedIndexResult) -> SignedIndexResult:

@@ -27,7 +27,7 @@ from .oracle import _signed_sort
 def straighten_Y_perm(parts) -> SignedIndexResult:
     """Straighten by sorting: zero on a repeated entry, else (-1) per out-of-order pair."""
     out = _signed_sort(validate_composition(parts))
-    return ZERO if out is None else signed_result(*out)
+    return ZERO if out is None else signed_result(out[0], tuple(out[1]))
 
 
 def straighten_Y_code(parts) -> SignedIndexResult:
@@ -100,7 +100,7 @@ class QSeriesTerm(_Value):
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "sign_exp", sign_exp)
-        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "index", tuple(index))
 
     @property
     def sign(self) -> int:
@@ -136,7 +136,7 @@ def q_series_j_form(lam, n_max: int) -> list[QSeriesTerm]:
         lo = lam[j] + 1 if j < l else 0
         for n in range(lo, min(hi, n_max) + 1):
             index = lam[:j] + (n,) + lam[j:]
-            terms.append(QSeriesTerm(n=n, j=j, i=n - l + j, sign_exp=j, index=index))
+            terms.append(QSeriesTerm._make(n, j, n - l + j, j, index))
     terms.sort(key=lambda t: t.n)
     return terms
 
@@ -162,5 +162,5 @@ def q_series_i_form(lam, i_max: int) -> list[QSeriesTerm]:
             raise InternalInvariantError(
                 f"series bookkeeping off at i={i} for {lam!r}: {index!r}"
             )
-        terms.append(QSeriesTerm(n=n, j=sign_exp, i=i, sign_exp=sign_exp, index=index))
+        terms.append(QSeriesTerm._make(n, sign_exp, i, sign_exp, index))
     return terms

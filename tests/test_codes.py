@@ -128,8 +128,18 @@ def test_letter_lists_keep_their_results():
     assert codes.reading_straighten(letters).is_zero
     assert ops.run("reading_straighten", {"letters": letters}) == {"zero": True}
     for route in (codes.straighten_code, codes.decode_code, shifted.preshift):
-        with pytest.raises(InvalidCodeError, match="is not reduced"):
+        with pytest.raises(InvalidCodeError, match="a str of letters, not list"):
             route(letters)
+
+
+@pytest.mark.parametrize("word", [["R", "U"], b"RU", ("R", "U")], ids=["list", "bytes", "tuple"])
+def test_a_word_that_is_not_a_str_names_its_type(word):
+    # not "is not reduced" (a list) or "letter 82 is not one of R, L, U" (bytes)
+    message = f"a code word is a str of letters, not {type(word).__name__}$"
+    routes = (codes.CodeWord, shifted.ShiftedCodeWord, codes.decode_code, shifted.decode_shifted)
+    for route in routes:
+        with pytest.raises(InvalidCodeError, match=message):
+            route(word)
 
 
 def test_triple_agreement_small_sweep():

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import copy
+import itertools
+import json
 import pickle
 import re
 
 import pytest
 
 import codecalc
-from codecalc import core
+from codecalc import bernstein, codes, core, oracle, qvertex, shifted
 
 
 def test_signed_result_basics():
@@ -41,6 +43,16 @@ def test_signed_result_stores_the_index_as_a_tuple():
     assert listed.index == (3, 2) and type(listed.index) is tuple
     assert listed == core.SignedIndexResult(1, (3, 2))
     assert hash(listed) == hash(core.SignedIndexResult(1, (3, 2)))
+
+
+def test_series_terms_store_the_index_as_a_tuple():
+    pairs = [
+        (codecalc.SeriesTerm("schur", 1, 0, 0, [1]), codecalc.SeriesTerm("schur", 1, 0, 0, (1,))),
+        (codecalc.QSeriesTerm(1, 0, 1, 0, index=[1]), codecalc.QSeriesTerm(1, 0, 1, 0, (1,))),
+    ]
+    for listed, tupled in pairs:
+        assert listed.index == (1,) and type(listed.index) is tuple
+        assert listed == tupled and hash(listed) == hash(tupled)
 
 
 def test_signed_result_rejects_bool_entries():
@@ -129,6 +141,46 @@ def test_canonical_json_is_stable():
     assert core.canonical_json(json.loads(out)) == out
 
 
+# Each case against json.dumps with the same settings: nesting and tuples,
+# escapes, floats past JSON's range, int keys and top-level scalars.
+CANONICAL_CASES = [
+    {"b": [1, {"z": (2, 3), "a": []}], "a": {"y": None, "x": [True, False, ()]}},
+    ["\u00e9", "\u96ea", "\U0001f600", 'say "hi"', "back\\slash", "\x00\x1f\n\t\x7f"],
+    {"\u00e9": 1, "\n": 2, '"': 3, "": 4},
+    {10: "b", 9: "a", -1: "c"},
+    [0.1, -0.0, 1e300, 1.5e-7, 2.5, float("nan"), float("inf"), float("-inf")],
+    {"sign": -1, "index": [3, 3, 0]},
+    [-(2**70), 2**64],
+    None, True, False, 0, 7, -1.25, "plain text", "", [], {}, (),
+]
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "python-encoder"])
+def test_canonical_json_matches_json_dumps(monkeypatch, c_encoder):
+    if not c_encoder:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    elif json.encoder.c_make_encoder is None:
+        pytest.skip("this Python's json has no C encoder")
+    for value in CANONICAL_CASES:
+        expected = json.dumps(value, sort_keys=True, separators=(",", ":"))
+        assert core.canonical_json(value) == expected, value
+
+    loop: list = [1]
+    loop.append(loop)
+    looped_dict: dict = {}
+    looped_dict["self"] = looped_dict
+    for value in (loop, looped_dict):
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            core.canonical_json(value)
+    assert core.canonical_json([loop[0]]) == "[1]"  # no marker outlives a failed call
+
+    for value in (object(), [{1, 2}], {"k": b"x"}, {(1, 2): 0}, {"a": 1, 2: 0}):
+        with pytest.raises(TypeError) as want:
+            json.dumps(value, sort_keys=True, separators=(",", ":"))
+        with pytest.raises(TypeError, match=f"^{re.escape(str(want.value))}$"):
+            core.canonical_json(value)
+
+
 # One value of each value type, with its repr as the frozen dataclasses printed it.
 VALUES = [
     (core.SignedIndexResult(1, (3, 2)), "SignedIndexResult(sign=1, index=(3, 2))"),
@@ -175,3 +227,43 @@ def test_value_types_differ_by_fields():
     values = [value for value, _ in VALUES]
     assert all(a != b for i, a in enumerate(values) for b in values[i + 1 :])
     assert len(set(values)) == len(values)
+
+
+def _check_trusted(value):
+    """A value the package built equals, hashes as and pickles as the same
+    value built through its validating constructor."""
+    cls = type(value)
+    rebuilt = cls(*(getattr(value, name) for name in cls.__match_args__))
+    assert value == rebuilt and hash(value) == hash(rebuilt), value
+    assert pickle.loads(pickle.dumps(value)) == value
+    index = getattr(value, "index", ())
+    assert type(index) is tuple and all(type(p) is int for p in index), value
+
+
+def test_the_package_values_match_validated_ones():
+    for mu in itertools.chain.from_iterable(
+        itertools.product(range(7), repeat=length) for length in range(5)
+    ):
+        word = codes.encode_code(mu)
+        values = [
+            word,
+            codes.straighten_B(mu),
+            codes.reading_straighten(word),
+            codes.reading_straighten(word.letters),
+            oracle.exponent_straighten(mu),
+            qvertex.straighten_Y_code(mu),
+            qvertex.straighten_Y_perm(mu),
+        ]
+        if all(mu):
+            shifted_word = shifted.encode_shifted(mu)
+            values += [shifted_word, shifted.shifted_straighten(shifted_word)]
+            values += [shifted.preshift(word), shifted.preshift(word).strip_prefix()]
+        lam = mu[1:]
+        if mu and core.is_partition(lam):
+            values += [bernstein.bn_action(mu[0], lam), bernstein.bn_action(-mu[0], lam)]
+            values += bernstein.bernstein_series(lam, 3) + bernstein.bernstein_series_window(lam, 1)
+        if mu and all(lam) and core.is_strict_partition(lam):
+            values += [qvertex.yn_action(mu[0], lam)]
+            values += qvertex.q_series_i_form(lam, 3) + qvertex.q_series_j_form(lam, 3)
+        for value in values:
+            _check_trusted(value)
