@@ -16,6 +16,8 @@ from .core import (
     SERIES_MAX,
     SignedIndexResult,
     _Value,
+    _check_exact_ints,
+    _int_index,
     check_int,
     is_partition,
     validate_composition,
@@ -41,7 +43,7 @@ def bn_action(n: int, lam) -> SignedIndexResult:
     becomes a U.
     """
     lam = _validated_partition(lam)
-    check_int(n, "degree")
+    n = check_int(n, "degree")
     top = lam[0] if lam else 0
     return _signed(_sum_exchanges(encode_code(lam).runs + (n - top,), "plain"))
 
@@ -55,7 +57,7 @@ def lambda_sup(lam, i: int) -> Composition:
     sup_code).
     """
     lam = _validated_partition(lam)
-    check_int(i, "sup-index position", 1)
+    i = check_int(i, "sup-index position", 1)
     return _rows(_replace_ith_r(encode_code(lam).runs, i))
 
 
@@ -63,7 +65,7 @@ def r_index(lam, i: int) -> int:
     """Number of R's left of the i-th U from the right, the moves of the runs
     up to that U; equals row i (0 past the end)."""
     lam = _validated_partition(lam)
-    check_int(i, "row position", 1)
+    i = check_int(i, "row position", 1)
     if i > len(lam):
         return 0
     return sum(encode_code(lam).runs[: len(lam) - i + 1])
@@ -75,11 +77,14 @@ class SeriesTerm(_Value):
     __slots__ = __match_args__ = ("family", "i", "t_exp", "sign_exp", "index")
 
     def __init__(self, family: str, i: int, t_exp: int, sign_exp: int, index: Composition) -> None:
+        if type(family) is not str:
+            raise DomainError(f"family must be a str, got {family!r}")
+        _check_exact_ints(i=i, t_exp=t_exp, sign_exp=sign_exp)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "t_exp", t_exp)
         object.__setattr__(self, "sign_exp", sign_exp)
-        object.__setattr__(self, "index", tuple(index))
+        object.__setattr__(self, "index", _int_index(index))
 
     @property
     def sign(self) -> int:
@@ -95,19 +100,34 @@ class SeriesTerm(_Value):
         }
 
 
-def _series(lam: Composition, i_max: int) -> list[SeriesTerm]:
-    """Terms i = 1..i_max for a validated partition, encoding it once; each
-    term reads the runs of its word, O(rows)."""
+def _series(lam: Composition, i_max: int, t_max: int) -> list[SeriesTerm]:
+    """Terms i = 1..i_max for a validated partition, in one pass over its code
+    word, up to the first whose t-exponent passes t_max.
+
+    Term i turns the i-th R into a U (``lambda_sup``): with run b of the word
+    holding that R, the top l - b rows drop by one and a row i - 1 goes in
+    below them.  A cursor walks the runs once as i grows, so each term is one
+    C-level copy of the rows.
+    """
     runs = encode_code(lam).runs
-    base = sum(lam)
+    rows = _rows(runs)
+    lowered = tuple(r - 1 for r in rows)
+    l, base = len(rows), sum(lam)
+    b = below = 0  # run b holds the i-th R; below counts the R's of runs[:b]
     terms: list[SeriesTerm] = []
     for i in range(1, i_max + 1):
-        index = _rows(_replace_ith_r(runs, i))
+        while b < l and below + runs[b] < i:
+            below += runs[b]
+            b += 1
+        j = l - b
+        index = lowered[:j] + (i - 1,) + rows[j:]
+        # the new row sits between its neighbours, so the term is a partition
+        if (j and lowered[j - 1] < i - 1) or (j < l and rows[j] > i - 1):
+            raise InternalInvariantError(f"sup-index off at i={i} for {lam!r}: {index!r}")
         t_exp = sum(index) - base
-        sign_exp = i - 1 - t_exp
-        if sign_exp < 0:
-            raise InternalInvariantError(f"negative sign exponent at i={i} for {lam!r}")
-        terms.append(SeriesTerm._make("schur", i, t_exp, sign_exp, index))
+        if t_exp > t_max:
+            break
+        terms.append(SeriesTerm._make("schur", i, t_exp, i - 1 - t_exp, index))
     return terms
 
 
@@ -118,14 +138,19 @@ def bernstein_series(lam, i_max: int) -> list[SeriesTerm]:
     (-1) ** (|lam| - |lambda^(i)| + i - 1).
     """
     lam = _validated_partition(lam)
-    check_int(i_max, "i_max", 0, SERIES_MAX)
-    return _series(lam, i_max)
+    i_max = check_int(i_max, "i_max", 0, SERIES_MAX)
+    return _series(lam, i_max, i_max)  # every t-exponent is below i
 
 
 def bernstein_series_window(lam, n_max: int) -> list[SeriesTerm]:
-    """All series terms with t-exponent <= n_max (the t-exponents below that
-    window's floor, -len(lam), never occur)."""
+    """All series terms with t-exponent <= n_max, in order of i.
+
+    The t-exponents strictly increase in i: t(i + 1) - t(i) = 1 + #{rows >= i}
+    - #{rows >= i + 1} >= 1.  So the window is the terms before the first
+    t-exponent past n_max, where the walk stops; t(i) >= i - 1 - len(lam) puts
+    every term in it at i <= n_max + 1 + len(lam).  The t-exponents below the
+    window's floor, -len(lam), never occur.
+    """
     lam = _validated_partition(lam)
-    check_int(n_max, "n_max", None, SERIES_MAX)
-    i_max = max(n_max + 1 + len(lam), 0)
-    return [t for t in _series(lam, i_max) if t.t_exp <= n_max]
+    n_max = check_int(n_max, "n_max", None, SERIES_MAX)
+    return _series(lam, n_max + 1 + len(lam), n_max)

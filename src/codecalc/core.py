@@ -104,19 +104,33 @@ class _Value:
         return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
 
 
+def _int_index(index) -> Composition:
+    """``index`` as a tuple, checked to hold exact ints (no bools): the check
+    the public constructors of the result and term types make."""
+    parts = tuple(index)
+    if not all(type(p) is int for p in parts):
+        raise DomainError(f"index entries must be ints, got {index!r}")
+    return parts
+
+
+def _check_exact_ints(**fields) -> None:
+    """Raise DomainError unless every field is an exact int (not a bool)."""
+    for name, value in fields.items():
+        if type(value) is not int:
+            raise DomainError(f"{name} must be an int, got {value!r}")
+
+
 class SignedIndexResult(_Value):
     """The zero result (sign 0, empty index) or a signed index (sign +-1)."""
 
     __slots__ = __match_args__ = ("sign", "index")
 
     def __init__(self, sign: int, index: Composition = ()) -> None:
-        parts = tuple(index)
+        parts = _int_index(index)
         if type(sign) is not int or sign not in (-1, 0, 1):
             raise DomainError(f"sign must be -1, 0 or +1, got {sign!r}")
         if sign == 0 and parts:
             raise DomainError("the zero result carries no index")
-        if not all(type(p) is int for p in parts):
-            raise DomainError(f"index entries must be ints, got {index!r}")
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "index", parts)
 
@@ -174,34 +188,48 @@ def render_index(parts: Composition) -> str:
     return ",".join(str(p) for p in parts)
 
 
+def _exact(value):
+    """An int subclass's value as an exact int, read by int's own method so the
+    subclass's overrides never run; any other value as it is."""
+    if type(value) is not int and isinstance(value, int) and not isinstance(value, bool):
+        return int.__index__(value)
+    return value
+
+
 def validate_composition(parts: Composition, *, minimum: int | None = 0) -> Composition:
-    """Return parts as a tuple after checking every entry is an int >= minimum
-    (any int when minimum is None)."""
+    """Return parts as a tuple of exact ints after checking every entry is an
+    int >= minimum (any int when minimum is None).  Entries of an int subclass
+    come back as ints; a tuple of exact ints comes back as is."""
     parts = tuple(parts)
     for p in parts:
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise DomainError(f"index entries must be ints, got {p!r}")
+        if type(p) is not int:
+            if not isinstance(p, int) or isinstance(p, bool):
+                raise DomainError(f"index entries must be ints, got {p!r}")
+            return validate_composition(tuple(map(_exact, parts)), minimum=minimum)
         if minimum is not None and p < minimum:
             raise DomainError(f"index entry {p} is below the allowed minimum {minimum}")
     return parts
 
 
-# Largest i_max / n_max a series accepts.  Each term costs O(rows): it finds
-# the run of the code word that holds its R or RR pair, whatever i and the
-# parts are.  So the cap bounds the size of the answer: a series has at most
+# Largest i_max / n_max a series accepts.  A series walks its code word once,
+# a cursor moving to the run that holds each term's R or RR pair, and each
+# term is one C-level copy of the rows: O(rows) a term whatever i and the parts
+# are.  So the cap bounds the size of the answer: a series has at most
 # SERIES_MAX + 1 terms.
 SERIES_MAX = 10_000
 
 
-def check_int(value, name: str, minimum: int | None = None, maximum: int | None = None) -> None:
-    """Raise DomainError unless value is an int (not a bool) in minimum..maximum."""
-    if not isinstance(value, int) or isinstance(value, bool) or (
-        minimum is not None and value < minimum
-    ):
+def check_int(value, name: str, minimum: int | None = None, maximum: int | None = None) -> int:
+    """Return value as an exact int; raise DomainError unless it is an int (not
+    a bool) in minimum..maximum."""
+    if type(value) is not int:
+        value = _exact(value)
+    if type(value) is not int or (minimum is not None and value < minimum):
         floor = "" if minimum is None else f" >= {minimum}"
         raise DomainError(f"{name} must be an int{floor}, got {value!r}")
     if maximum is not None and value > maximum:
         raise DomainError(f"{name} must be at most {maximum}, got {value!r}")
+    return value
 
 
 def is_partition(parts: Composition) -> bool:

@@ -15,6 +15,8 @@ from .core import (
     SignedIndexResult,
     ZERO,
     _Value,
+    _check_exact_ints,
+    _int_index,
     check_int,
     is_strict_partition,
     signed_result,
@@ -53,7 +55,7 @@ def yn_action(n: int, lam) -> SignedIndexResult:
     trailing zero row).
     """
     lam = _validated_strict(lam)
-    check_int(n, "degree", 0)
+    n = check_int(n, "degree", 0)
     if not lam or n > lam[0]:
         return signed_result(0, (n,) + lam)
     if n in lam:
@@ -86,7 +88,7 @@ def lambda_bracket(lam, i: int) -> Composition:
     (suite qvertex, op bracket_code).
     """
     lam = _validated_strict(lam)
-    check_int(i, "bracket position", 0)
+    i = check_int(i, "bracket position", 0)
     return _rows(_bracket_by_code(encode_code(lam).runs, i))
 
 
@@ -96,11 +98,12 @@ class QSeriesTerm(_Value):
     __slots__ = __match_args__ = ("n", "j", "i", "sign_exp", "index")
 
     def __init__(self, n: int, j: int, i: int, sign_exp: int, index: Composition) -> None:
+        _check_exact_ints(n=n, j=j, i=i, sign_exp=sign_exp)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "sign_exp", sign_exp)
-        object.__setattr__(self, "index", tuple(index))
+        object.__setattr__(self, "index", _int_index(index))
 
     @property
     def sign(self) -> int:
@@ -124,20 +127,19 @@ class QSeriesTerm(_Value):
 def q_series_j_form(lam, n_max: int) -> list[QSeriesTerm]:
     """Series terms with t-exponent n <= n_max, enumerated by insertion slot j.
 
-    Slot j inserts n strictly between neighbouring rows (top slot is bounded by
-    n_max only, bottom slot reaches down to n = 0); the term's sign is (-1)**j.
+    n runs up from 0.  A value that is not a row of lam goes into slot j,
+    below the j rows larger than it, and the slot cursor moves up one slot at
+    each row n meets.  The term's sign is (-1)**j.  No code word is read.
     """
     lam = _validated_strict(lam)
-    check_int(n_max, "n_max", 0, SERIES_MAX)
-    l = len(lam)
+    n_max = check_int(n_max, "n_max", 0, SERIES_MAX)
+    l = j = len(lam)  # j: the rows >= n, which are positive and strictly decreasing
     terms: list[QSeriesTerm] = []
-    for j in range(l + 1):
-        hi = lam[j - 1] - 1 if j >= 1 else n_max
-        lo = lam[j] + 1 if j < l else 0
-        for n in range(lo, min(hi, n_max) + 1):
-            index = lam[:j] + (n,) + lam[j:]
-            terms.append(QSeriesTerm._make(n, j, n - l + j, j, index))
-    terms.sort(key=lambda t: t.n)
+    for n in range(n_max + 1):
+        if j and lam[j - 1] == n:
+            j -= 1  # n is a row: no term, and it is below the next n
+            continue
+        terms.append(QSeriesTerm._make(n, j, n - l + j, j, lam[:j] + (n,) + lam[j:]))
     return terms
 
 
@@ -146,19 +148,29 @@ def q_series_i_form(lam, i_max: int) -> list[QSeriesTerm]:
 
     Term i carries index lambda^[i], t-exponent n = |lambda^[i]| - |lam| and
     sign exponent len(lam) + |lam| - |lambda^[i]| + i, which is checked to be
-    the insertion slot of n on every call.
+    the insertion slot of n on every call.  Term i puts a U into the i-th RR
+    pair of the code word (``lambda_bracket``): with run b of the word holding
+    that pair, the new row n goes in below the top l - b rows.  A cursor walks
+    the runs once as i grows, so each term is one C-level copy of the rows.
     """
     lam = _validated_strict(lam)
-    check_int(i_max, "i_max", 0, SERIES_MAX)
-    l = len(lam)
-    base = sum(lam)
+    i_max = check_int(i_max, "i_max", 0, SERIES_MAX)
     runs = encode_code(lam).runs
+    rows = _rows(runs)
+    l = len(rows)
+    # run b holds the i-th RR pair (a run of d R's holds d - 1 of them);
+    # below counts the R's and pairs the pairs of runs[:b]
+    b = below = pairs = 0
     terms: list[QSeriesTerm] = []
     for i in range(i_max + 1):
-        index = _rows(_bracket_by_code(runs, i))
-        n = sum(index) - base
-        sign_exp = l + base - sum(index) + i
-        if sign_exp != index.index(n) or i != n - l + sign_exp:
+        while b < l and i - pairs >= runs[b]:
+            below += runs[b]
+            pairs += runs[b] - 1
+            b += 1
+        n = below + i - pairs
+        index = rows[: l - b] + (n,) + rows[l - b :]
+        sign_exp = l - n + i
+        if sign_exp != index.index(n):
             raise InternalInvariantError(
                 f"series bookkeeping off at i={i} for {lam!r}: {index!r}"
             )

@@ -86,5 +86,5 @@ def lambda_bracket_shifted(lam, i: int) -> Composition:
     bracket_shifted).
     """
     lam = _validated_strict(lam)
-    check_int(i, "bracket position", 1)
+    i = check_int(i, "bracket position", 1)
     return _rows(_replace_ith_r(encode_shifted(lam).runs, i), ShiftedCodeWord.shift)

@@ -146,6 +146,26 @@ def test_series_tail_terms_match_closed_form():
         assert [t.index for t in terms] == [_sup_closed(lam, i) for i in range(1, 41)]
 
 
+def test_series_terms_are_the_sup_indexes():
+    # the one-pass walk against the per-position route, into the R-tail
+    for lam in partitions(7, 5):
+        i_max = (lam[0] if lam else 0) + len(lam) + 3
+        terms = bernstein.bernstein_series(lam, i_max)
+        assert [t.i for t in terms] == list(range(1, i_max + 1))
+        sups = [bernstein.lambda_sup(lam, i) for i in range(1, i_max + 1)]
+        assert [t.index for t in terms] == sups, lam
+
+
+def test_window_is_the_series_filtered_and_rising():
+    for lam in partitions(7, 5):
+        for n in range(-len(lam) - 2, 10):
+            window = bernstein.bernstein_series_window(lam, n)
+            full = bernstein.bernstein_series(lam, max(n + 1 + len(lam), 0))
+            assert window == [t for t in full if t.t_exp <= n], (lam, n)
+            exps = [t.t_exp for t in window]
+            assert all(a < b for a, b in zip(exps, exps[1:])), (lam, n)
+
+
 def test_series_term_dict_shape():
     (term,) = bernstein.bernstein_series((), 1)
     assert term.to_dict() == {

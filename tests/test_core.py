@@ -14,6 +14,20 @@ import codecalc
 from codecalc import bernstein, codes, core, oracle, qvertex, shifted
 
 
+class MyInt(int):
+    """An int subclass whose arithmetic and comparisons answer wrongly: a
+    route that used them, or handed its entries on, would show it."""
+
+    def __sub__(self, other):
+        return MyInt(int(self) + other)
+
+    def __lt__(self, other):
+        return False
+
+    def __repr__(self):
+        return f"MyInt({int(self)})"
+
+
 def test_signed_result_basics():
     r = core.SignedIndexResult(1, (3, 2))
     assert not r.is_zero
@@ -53,6 +67,25 @@ def test_series_terms_store_the_index_as_a_tuple():
     for listed, tupled in pairs:
         assert listed.index == (1,) and type(listed.index) is tuple
         assert listed == tupled and hash(listed) == hash(tupled)
+
+
+@pytest.mark.parametrize(
+    "cls,fields",
+    [
+        (codecalc.SeriesTerm, ("schur", 1, 0, 0, (1,))),
+        (codecalc.QSeriesTerm, (1, 0, 1, 0, (1,))),
+    ],
+    ids=["SeriesTerm", "QSeriesTerm"],
+)
+def test_series_term_constructors_check_their_fields(cls, fields):
+    cls(*fields)
+    bad = {"family": [None, 1], "index": ["ab", (1.5,), (True,), [MyInt(1)]]}
+    for k, name in enumerate(cls.__match_args__):
+        for value in bad.get(name, [None, 1.5, True, "1", MyInt(1)]):
+            with pytest.raises(core.DomainError, match=r"must be (a str|an int|ints)"):
+                cls(*fields[:k], value, *fields[k + 1 :])
+    with pytest.raises(core.DomainError):
+        codecalc.SeriesTerm(None, "x", 1.5, -1, "ab")
 
 
 def test_signed_result_rejects_bool_entries():
@@ -101,6 +134,18 @@ def test_parse_index_rejects_lenient_forms(text):
 
 def test_validate_composition():
     assert core.validate_composition([2, 0, 1]) == (2, 0, 1)
+    exact = (2, 0, 1)
+    assert core.validate_composition(exact) is exact  # exact ints: no copy
+    for parts in [(MyInt(2), 1), (2, MyInt(1)), (MyInt(3), MyInt(-1))]:
+        got = core.validate_composition(parts, minimum=None)
+        assert got == parts and all(type(p) is int for p in got)
+    with pytest.raises(core.DomainError, match="below the allowed minimum"):
+        core.validate_composition((2, MyInt(-1)))  # read as an int, not by MyInt.__lt__
+    with pytest.raises(core.DomainError, match="must be ints"):
+        core.validate_composition((MyInt(1), True))
+    assert type(core.check_int(MyInt(3), "n", 0)) is int
+    with pytest.raises(core.DomainError):
+        core.check_int(MyInt(-1), "n", 0)
     with pytest.raises(core.DomainError):
         core.validate_composition((1, -1))
     with pytest.raises(core.DomainError):
@@ -267,3 +312,51 @@ def test_the_package_values_match_validated_ones():
             values += qvertex.q_series_i_form(lam, 3) + qvertex.q_series_j_form(lam, 3)
         for value in values:
             _check_trusted(value)
+
+
+M = MyInt
+# every public route that returns an index, fed int-subclass entries and
+# int-subclass positions; each answer holds exact ints only
+INT_SUBCLASS_ROUTES = {
+    "straighten_B": lambda: codes.straighten_B((M(1), M(3))),
+    "straighten_code": lambda: codes.straighten_code(codes.encode_code((M(1), M(3)))),
+    "reading_straighten": lambda: codes.reading_straighten(codes.encode_code((M(1), M(3)))),
+    "exponent_straighten": lambda: oracle.exponent_straighten((M(1), M(3))),
+    "straighten_Y_perm": lambda: qvertex.straighten_Y_perm((M(1), M(2))),
+    "straighten_Y_code": lambda: qvertex.straighten_Y_code((M(1), M(2))),
+    "yn_action": lambda: qvertex.yn_action(M(5), (3,)),
+    "yn_action_zero_row": lambda: qvertex.yn_action(M(0), (M(3),)),
+    "bn_action": lambda: bernstein.bn_action(M(5), (M(3),)),
+    "lambda_sup": lambda: bernstein.lambda_sup((M(3),), M(1)),
+    "lambda_bracket": lambda: qvertex.lambda_bracket((M(3),), M(0)),
+    "lambda_bracket_shifted": lambda: shifted.lambda_bracket_shifted((M(3),), M(1)),
+    "r_index": lambda: (bernstein.r_index((M(3),), M(1)),),
+    "bernstein_series": lambda: bernstein.bernstein_series((M(3), M(1)), M(4)),
+    "bernstein_series_window": lambda: bernstein.bernstein_series_window((M(3), M(1)), M(2)),
+    "q_series_i_form": lambda: qvertex.q_series_i_form((M(3),), M(3)),
+    "q_series_j_form": lambda: qvertex.q_series_j_form((M(3),), M(4)),
+    "encode_code": lambda: codes.encode_code((M(3), M(1))),
+    "decode_code": lambda: codes.decode_code(codes.encode_code((M(3), M(1)))),
+    "encode_shifted": lambda: shifted.encode_shifted((M(3), M(1))),
+    "decode_shifted": lambda: shifted.decode_shifted(shifted.encode_shifted((M(3), M(1)))),
+    "shifted_straighten": lambda: shifted.shifted_straighten(shifted.encode_shifted((M(1), M(3)))),
+    "preshift": lambda: shifted.preshift(codes.encode_code((M(3), M(1)))),
+}
+
+
+@pytest.mark.parametrize("route", INT_SUBCLASS_ROUTES.values(), ids=INT_SUBCLASS_ROUTES)
+def test_every_route_answers_an_int_subclass_in_exact_ints(route):
+    out = route()
+    values = out if isinstance(out, list) else [out]
+    assert values
+    for value in values:
+        if isinstance(value, tuple):
+            assert all(type(p) is int for p in value), value
+            continue
+        _check_trusted(value)  # the public constructor accepts it
+        for name in value.__slots__:
+            field = getattr(value, name)
+            if name == "runs":
+                assert all(type(d) is int for d in field), value
+            elif name not in ("family", "_letters"):
+                assert type(field) is int or all(type(p) is int for p in field), value

@@ -157,6 +157,17 @@ def test_q_series_tail_terms_match_value_insertion():
         assert [t.index for t in terms] == expected, lam
 
 
+def test_q_series_i_form_terms_are_the_bracket_indexes():
+    # the one-pass walk against the per-position route, into the R-tail
+    for lam in strict_partitions(9, 5):
+        i_max = (lam[0] if lam else 0) + 3
+        terms = qvertex.q_series_i_form(lam, i_max)
+        assert [t.i for t in terms] == list(range(i_max + 1))
+        assert [t.index for t in terms[1:]] == [
+            qvertex.lambda_bracket(lam, i) for i in range(1, i_max + 1)
+        ], lam
+
+
 def test_q_series_term_dict_shape():
     (term,) = qvertex.q_series_j_form((), 0)
     assert term.to_dict() == {
