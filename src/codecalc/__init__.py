@@ -8,7 +8,8 @@ anticommuting vertex operators).  Every nontrivial computation has at least
 two independent routes, and the verify module sweeps them against each other.
 
 Every public name loads on first use: ``from codecalc import straighten_code``
-imports only ``core`` and ``codes``, and a CLI start never imports ``verify``.
+imports only ``core`` and ``codes``.  A CLI start never imports ``verify``, nor
+a route module that its command does not run (see ``ops``).
 """
 
 __version__ = "0.1.0"

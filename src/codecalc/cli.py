@@ -6,11 +6,10 @@ plain text by default; --format json (or the CODECALC_FORMAT environment
 variable) switches to canonical one-line JSON.
 """
 
-import argparse
 import functools
 import os
-import re
 import sys
+from types import SimpleNamespace
 
 from . import ops
 from .core import (
@@ -29,17 +28,15 @@ from .core import (
 _SUITES = ("codes", "bernstein", "qvertex", "shifted", "oracle", "corpus")
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage problems must exit 1, not argparse's 2
-        raise ParseError(message)
-
-
-_INT = re.compile(r"-?[0-9]+")
+def _is_int(text: str) -> bool:
+    """True when text is ASCII -?[0-9]+, the grammar of parse_index's entries."""
+    digits = text[1:] if text[:1] == "-" else text
+    return digits.isascii() and digits.isdigit()
 
 
 def _int(text: str) -> int:
     """An integer flag's value: ASCII -?[0-9]+ only, the grammar of parse_index."""
-    if not _INT.fullmatch(text):
+    if not _is_int(text):
         raise ValueError(text)
     return int(text)
 
@@ -188,26 +185,142 @@ def _cmd_verify(args) -> int:
             out.close()
 
 
+def _option(*flags, **settings) -> tuple:
+    """An option of a command's spec: its flags, and add_argument's keyword arguments."""
+    return flags, settings
+
+
+# Each command's spec: (help, handler, the members of its one exclusive group,
+# which is required, and its other options).  An option is (flags, settings):
+# the settings are add_argument's keyword arguments, and every optional names
+# its dest, so that _table reads it where argparse derives it.  _build_parser
+# feeds the spec to argparse, and _TABLES reads _match's tables off it.
+_ALGEBRA = _option("--algebra", dest="algebra", choices=("b", "q"), required=True)
+_FORMAT = _option("--format", dest="format", choices=("text", "json"), default=None)
+_COMMANDS = {
+    "code": (
+        "encode an index or decode a word",
+        _cmd_code,
+        [
+            _option("--index", dest="index", help="index to encode, e.g. 4,2,2,1"),
+            _option(
+                "--decode",
+                dest="letters",
+                metavar="DECODE",
+                help="letter word to decode, e.g. RURUURRU",
+            ),
+        ],
+        [
+            _option("--shifted", dest="shifted", action="store_true", help="use shifted codes"),
+            _FORMAT,
+        ],
+    ),
+    "straighten": (
+        "straighten an index",
+        _cmd_straighten,
+        [],
+        [
+            _option("index", help="index to straighten, e.g. 1,3,1,6,2"),
+            _ALGEBRA,
+            _option(
+                "--method",
+                dest="method",
+                choices=("code", "reading", "perm", "shifted", "oracle", "all"),
+                default="code",
+            ),
+            _FORMAT,
+        ],
+    ),
+    "act": (
+        "apply one degree-n operator to an index",
+        _cmd_act,
+        [],
+        [
+            _ALGEBRA,
+            _option("-n", "--degree", dest="n", type=_int, required=True),
+            _option("--index", dest="index", default="", help="index acted on (default: empty)"),
+            _FORMAT,
+        ],
+    ),
+    "series": (
+        "expand an operator series on an index",
+        _cmd_series,
+        [],
+        [
+            _ALGEBRA,
+            _option(
+                "--index", dest="index", default="", help="index expanded on (default: empty)"
+            ),
+            _option(
+                "--i-max", dest="i_max", type=_int, default=None, help="enumerate terms i <= i-max"
+            ),
+            _option(
+                "--n-max",
+                dest="n_max",
+                type=_int,
+                default=None,
+                help="enumerate t-exponents <= n-max",
+            ),
+            _FORMAT,
+        ],
+    ),
+    "verify": (
+        "run verification sweeps",
+        _cmd_verify,
+        [],
+        [
+            _option("--suite", dest="suite", choices=_SUITES + ("all",), default="all"),
+            _option("--max-part", dest="max_part", type=_int, default=4),
+            _option("--max-len", dest="max_len", type=_int, default=3),
+            _option("--i-max", dest="i_max", type=_int, default=10),
+            _option("--n-max", dest="n_max", type=_int, default=5),
+            _option(
+                "--file", dest="file", default=None, help="corpus file to replay (default: shipped)"
+            ),
+            _option(
+                "--output",
+                dest="output",
+                default="-",
+                help="failure JSONL destination (default: stdout)",
+            ),
+            _FORMAT,
+        ],
+    ),
+}
+
+
+def _table(spec) -> tuple:
+    """A command's table for _match, read off its spec: option string -> option,
+    the positional, the required dests, the exclusive dests and the defaults,
+    the handler included.  An option is (dest, nargs, const, type, choices),
+    as on the Action that add_argument makes of it."""
+    _, handler, exclusive, rest = spec
+    options, positional, required, defaults = {}, None, set(), {"handler": handler}
+    for flags, settings in exclusive + rest:
+        dest = settings.get("dest", flags[0])
+        nargs, const = (0, True) if settings.get("action") == "store_true" else (None, None)
+        option = (dest, nargs, const, settings.get("type"), settings.get("choices"))
+        if flags[0][:1] == "-":
+            options.update(dict.fromkeys(flags, option))
+            if settings.get("required"):
+                required.add(dest)
+        else:  # a positional of one value, which argparse requires
+            positional = option
+            required.add(dest)
+        defaults[dest] = settings.get("default", False if nargs == 0 else None)
+    return options, positional, required, {s["dest"] for _, s in exclusive}, defaults
+
+
+_TABLES = {name: _table(spec) for name, spec in _COMMANDS.items()}
+
+
 def _plain(arg: str) -> bool:
     """A value as argparse reads it in every version: no leading "-", or -[0-9]+."""
-    return arg[:1] != "-" or _INT.fullmatch(arg) is not None
-
-
-def _table(parser, actions, exclusive=()) -> tuple:
-    """A command's table for _match, read from the Actions its add_argument calls
-    returned: option string -> action, the positional, the required dests, the
-    exclusive dests and the defaults, the handler included."""
-    return (
-        {s: a for a in actions for s in a.option_strings},
-        next((a for a in actions if not a.option_strings), None),
-        {a.dest for a in actions if a.required},
-        {a.dest for a in exclusive},
-        {**{a.dest: a.default for a in actions}, "handler": parser.get_default("handler")},
-    )
+    return arg[:1] != "-" or _is_int(arg)
 
 
 def _match(table, args):
-    """The Namespace the command's parse_args gives for args in plain form, else None.
+    """The namespace the command's parse_args gives for args in plain form, else None.
 
     Plain: exact option strings, --long=value, values for which _plain holds,
     each dest at most once, every required dest, and one dest of the exclusive
@@ -220,133 +333,71 @@ def _match(table, args):
     args = iter(args)
     for arg in args:
         if _plain(arg):
-            action, value = positional, arg
+            option, value = positional, arg
         elif arg in options:
-            action = options[arg]
-            if action.nargs == 0:
-                value = action.const
+            option = options[arg]
+            if option[1] == 0:  # nargs 0: a store_true flag, which takes its const
+                value = option[2]
             else:
                 value = next(args, None)
                 if value is None or not _plain(value):
                     return None
         else:
             name, eq, value = arg.partition("=")
-            action = options.get(name) if eq and name[:2] == "--" else None
-            if action is not None and action.nargs == 0:
+            option = options.get(name) if eq and name[:2] == "--" else None
+            if option is not None and option[1] == 0:
                 return None
-        if action is None or action.dest in values:
+        if option is None:
             return None
-        if action.type is not None:
+        dest, _, _, type_, choices = option
+        if dest in values:
+            return None
+        if type_ is not None:
             try:
-                value = action.type(value)
+                value = type_(value)
             except ValueError:  # _int's refusal: argparse words the message
                 return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        values[action.dest] = value
+        values[dest] = value
     if not required <= values.keys() or (exclusive and len(exclusive & values.keys()) != 1):
         return None
-    return argparse.Namespace(**{**defaults, **values})
+    return SimpleNamespace(**{**defaults, **values})
 
 
-# Built on first use and shared by every main() in the process: parse_args fills
-# a new Namespace each call, and help and usage errors read the terminal width
-# and sys.stdout/sys.stderr when they print.  ``tables`` maps each command to its
-# _table, read from the Actions that add_argument returned (documented
-# attributes only).  main answers a plain argv of a known command from its
-# table, with no argparse pass, and leaves any other argv to the top-level parse.
+# Built on first use, for an argv that _match refuses and for help, and shared
+# by every main() in the process: parse_args fills a new Namespace each call,
+# and help and usage errors read the terminal width and sys.stdout/sys.stderr
+# when they print.  A plain argv never imports argparse.
 @functools.cache
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="codecalc", description=__doc__.splitlines()[0])
+def _build_parser():
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # usage problems must exit 1, not argparse's 2
+            raise ParseError(message)
+
+    parser = Parser(prog="codecalc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    tables = {}
-
-    def add_format(p):
-        return p.add_argument("--format", choices=("text", "json"), default=None)
-
-    p = sub.add_parser("code", parents=[], help="encode an index or decode a word")
-    group = p.add_mutually_exclusive_group(required=True)
-    exclusive = [
-        group.add_argument("--index", help="index to encode, e.g. 4,2,2,1"),
-        group.add_argument(
-            "--decode",
-            dest="letters",
-            metavar="DECODE",
-            help="letter word to decode, e.g. RURUURRU",
-        ),
-    ]
-    actions = exclusive + [
-        p.add_argument("--shifted", action="store_true", help="use shifted codes"),
-        add_format(p),
-    ]
-    p.set_defaults(handler=_cmd_code)
-    tables["code"] = _table(p, actions, exclusive)
-
-    p = sub.add_parser("straighten", help="straighten an index")
-    actions = [
-        p.add_argument("index", help="index to straighten, e.g. 1,3,1,6,2"),
-        p.add_argument("--algebra", choices=("b", "q"), required=True),
-        p.add_argument(
-            "--method",
-            choices=("code", "reading", "perm", "shifted", "oracle", "all"),
-            default="code",
-        ),
-        add_format(p),
-    ]
-    p.set_defaults(handler=_cmd_straighten)
-    tables["straighten"] = _table(p, actions)
-
-    p = sub.add_parser("act", help="apply one degree-n operator to an index")
-    actions = [
-        p.add_argument("--algebra", choices=("b", "q"), required=True),
-        p.add_argument("-n", "--degree", dest="n", type=_int, required=True),
-        p.add_argument("--index", default="", help="index acted on (default: empty)"),
-        add_format(p),
-    ]
-    p.set_defaults(handler=_cmd_act)
-    tables["act"] = _table(p, actions)
-
-    p = sub.add_parser("series", help="expand an operator series on an index")
-    actions = [
-        p.add_argument("--algebra", choices=("b", "q"), required=True),
-        p.add_argument("--index", default="", help="index expanded on (default: empty)"),
-        p.add_argument("--i-max", type=_int, default=None, help="enumerate terms i <= i-max"),
-        p.add_argument("--n-max", type=_int, default=None, help="enumerate t-exponents <= n-max"),
-        add_format(p),
-    ]
-    p.set_defaults(handler=_cmd_series)
-    tables["series"] = _table(p, actions)
-
-    p = sub.add_parser("verify", help="run verification sweeps")
-    actions = [
-        p.add_argument(
-            "--suite",
-            choices=_SUITES + ("all",),
-            default="all",
-        ),
-        p.add_argument("--max-part", type=_int, default=4),
-        p.add_argument("--max-len", type=_int, default=3),
-        p.add_argument("--i-max", type=_int, default=10),
-        p.add_argument("--n-max", type=_int, default=5),
-        p.add_argument("--file", default=None, help="corpus file to replay (default: shipped)"),
-        p.add_argument("--output", default="-", help="failure JSONL destination (default: stdout)"),
-        add_format(p),
-    ]
-    p.set_defaults(handler=_cmd_verify)
-    tables["verify"] = _table(p, actions)
-
-    parser.tables = tables
+    for name, (help_, handler, exclusive, rest) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        if exclusive:
+            group = p.add_mutually_exclusive_group(required=True)
+            for flags, settings in exclusive:
+                group.add_argument(*flags, **settings)
+        for flags, settings in rest:
+            p.add_argument(*flags, **settings)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
-        parser = _build_parser()
-        table = parser.tables.get(argv[0]) if argv else None
+        table = _TABLES.get(argv[0]) if argv else None
         args = _match(table, argv[1:]) if table else None
         if args is None:
-            args = parser.parse_args(argv)
+            args = _build_parser().parse_args(argv)
         args.format = _resolve_format(args)
         return args.handler(args)
     except (ParseError, DomainError, InvalidCodeError) as exc:

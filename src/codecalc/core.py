@@ -4,18 +4,24 @@ Every straightening routine in this package returns a :class:`SignedIndexResult`
 either the zero result, or a sign in {+1, -1} attached to a tuple of row lengths.
 """
 
-import json
-
 Composition = tuple[int, ...]
 
+# json and the encoder settings below, set on canonical_json's first call, so
+# that text output never imports json
+json = _CANONICAL = _SETTINGS = None
 
-# json.dumps builds a new encoder on every call once it gets non-default
-# arguments, and JSONEncoder.encode builds its C encoder anew on every call.
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-# what JSONEncoder.iterencode hands the C encoder for _CANONICAL, markers aside
-_SETTINGS = (
-    _CANONICAL.default, json.encoder.encode_basestring_ascii, None, ":", ",", True, False, True
-)
+
+def _load_json() -> None:
+    global json, _CANONICAL, _SETTINGS
+    import json
+
+    # json.dumps builds a new encoder on every call once it gets non-default
+    # arguments, and JSONEncoder.encode builds its C encoder anew on every call.
+    _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    # what JSONEncoder.iterencode hands the C encoder for _CANONICAL, markers aside
+    _SETTINGS = (
+        _CANONICAL.default, json.encoder.encode_basestring_ascii, None, ":", ",", True, False, True
+    )
 
 
 def canonical_json(obj) -> str:
@@ -23,6 +29,8 @@ def canonical_json(obj) -> str:
 
     Canonical output round-trips byte-identically through json.loads.
     """
+    if _SETTINGS is None:
+        _load_json()
     make = json.encoder.c_make_encoder
     if make is None:  # no C accelerator: the encoder's own Python path
         return _CANONICAL.encode(obj)

@@ -8,9 +8,10 @@ operations compute each answer once, by the code route, and this is where
 the second routes are compared with it.  ``LAWS`` maps each law with no
 second route to a function of the args returning (expected, got).
 
-A case fails when the two differ or the check raises a CalcError; it is then
-recorded as a JSON-ready dict whose ``input`` is the check name (as ``op``)
-with the args.  Every entry recomputes its answer from the args alone, so
+A case fails when the two differ or the check raises an exception (only
+running out of memory ends the run instead); it is then recorded as a
+JSON-ready dict whose ``input`` is the check name (as ``op``) with the args.
+Every entry recomputes its answer from the args alone, so
 ``_check(VerifyReport(suite), op, args)`` on a failure's input minus ``op``
 records the same failure again.  The corpus suite replays a JSON-lines file
 of worked examples through the op table the CLI runs too (``ops.run``).
@@ -26,7 +27,6 @@ from itertools import combinations, combinations_with_replacement, product
 
 from . import bernstein, codes, ops, oracle, qvertex, shifted
 from .core import (
-    CalcError,
     DomainError,
     InvalidCodeError,
     ZERO,
@@ -36,6 +36,12 @@ from .core import (
     classify,
     negate,
 )
+
+
+# What ends a run, as the CLI's "error: out of memory" line, where any other
+# exception is recorded as a failure: an input too large for memory (an
+# OverflowError is a run of 2**63 letters or more) is no route's fault.
+_OUT_OF_MEMORY = (MemoryError, OverflowError)
 
 
 @dataclass
@@ -302,22 +308,24 @@ LAWS = {
 
 
 def _check(report: VerifyReport, check: str, args: dict) -> None:
-    """Record one case of ``check``, a key of LAWS or REFERENCES, on args; a
-    CalcError raised by the check is recorded as the case's failure."""
+    """Record one case of ``check``, a key of LAWS or REFERENCES, on args; an
+    exception raised by the check is recorded as the case's failure."""
     try:
         if check in LAWS:
             expected, got = LAWS[check](args)
         else:
             op, reference = REFERENCES[check]
             expected, got = reference(args), ops.run(op, args)
-    except CalcError as exc:
+    except _OUT_OF_MEMORY:
+        raise
+    except Exception as exc:  # a route's fault, CalcError or not, is what verify reports
         expected, got = "no error", f"{type(exc).__name__}: {exc}"
     report.check({"op": check, **args}, expected, got)
 
 
 def _sweep(cases):
     """A verify suite from a generator function of (check, args) pairs: one
-    timed run of ``_check`` over them.  A CalcError raised by the enumeration
+    timed run of ``_check`` over them.  An exception raised by the enumeration
     itself, such as a broken encoder's, ends the run as one more failure."""
     suite = cases.__name__.removeprefix("verify_")
 
@@ -329,7 +337,9 @@ def _sweep(cases):
         try:
             for check, args in cases(*ranges, **options):
                 _check(report, check, args)
-        except CalcError as exc:
+        except _OUT_OF_MEMORY:
+            raise
+        except Exception as exc:
             report.check({"op": "enumeration"}, "no error", f"{type(exc).__name__}: {exc}")
         report.seconds = time.perf_counter() - start
         return report
@@ -413,7 +423,11 @@ def verify_qvertex(max_part: int = 4, max_len: int = 3, window_pad: int = 5):
             yield "yn_zero", {"index": index, "n": n}
             yield "yn_straighten", {"index": index, "n": n}
         yield "series_forms", {"index": index, "n_max": n_max}
-        for term in _shared(qvertex.q_series_j_form, lam, n_max):
+        try:
+            terms = _shared(qvertex.q_series_j_form, lam, n_max)
+        except Exception:  # series_forms, just above, recorded the j-form's fault
+            terms = ()
+        for term in terms:
             yield "series_strict", {"index": index, "n": term.n, "term": list(term.index)}
 
 
@@ -487,7 +501,8 @@ def verify_corpus(path: str | None = None) -> VerifyReport:
     """Replay every corpus entry and require canonical-JSON-identical results.
 
     A line that is not a JSON object with "op", "args" (an object) and
-    "expected", or whose args the op cannot take, is a failure of that line.
+    "expected", whose args the op cannot take, or whose op raises, is a
+    failure of that line.
     """
     report = VerifyReport("corpus")
     start = time.perf_counter()
@@ -508,11 +523,13 @@ def verify_corpus(path: str | None = None) -> VerifyReport:
         where = {"line": lineno, "op": op, "args": args}
         try:
             got = ops.run(op, args)
-        except CalcError as exc:
-            report.fail(where, expected, f"{type(exc).__name__}: {exc}")
-            continue
         except (AttributeError, KeyError, TypeError) as exc:
             report.fail(where, f"args that {op} takes", f"{type(exc).__name__}: {exc}")
+            continue
+        except _OUT_OF_MEMORY:
+            raise
+        except Exception as exc:
+            report.fail(where, expected, f"{type(exc).__name__}: {exc}")
             continue
         emitted = canonical_json(got)
         if emitted != canonical_json(expected):

@@ -386,18 +386,89 @@ def test_cold_bench_start_imports_only_core_and_codes():
     assert not new & {"dataclasses", "inspect"}
 
 
-def test_cli_start_imports_neither_dataclasses_nor_verify():
-    out, new = _start(
+def _cli_start(*argv):
+    """_start of ``python -m codecalc argv``, which must exit 0."""
+    return _start(
         "import runpy\n"
-        "sys.argv[1:] = ['straighten', '--algebra', 'b', '1,3']\n"
+        f"sys.argv[1:] = {list(argv)!r}\n"
         "try:\n"
         "    runpy.run_module('codecalc', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as stop:\n"
         "    assert stop.code == 0"
     )
+
+
+# the modules of the routes a plain B straighten does not run
+ROUTE_MODULES = {"codecalc.bernstein", "codecalc.oracle", "codecalc.qvertex", "codecalc.shifted"}
+
+
+def test_cli_start_imports_neither_dataclasses_nor_verify():
+    out, new = _cli_start("straighten", "--algebra", "b", "1,3")
     assert out == ["-1 * B[2,2]"]
     assert "codecalc.cli" in new
     assert not new & {"dataclasses", "inspect", "codecalc.verify"}
+    # a plain argv is answered from its table, and text output needs no json
+    assert not new & {"argparse", "json", *ROUTE_MODULES}
+
+
+@pytest.mark.parametrize(
+    "argv,out,loads,skips",
+    [
+        (
+            ("straighten", "--algebra", "b", "--format", "json", "1,3"),
+            ['{"index":[2,2],"sign":-1}'],
+            {"json"},
+            {"argparse", *ROUTE_MODULES},
+        ),
+        (
+            ("act", "--algebra", "q", "-n", "2", "--index", "3"),
+            ["-1 * Q[3,2]"],
+            {"codecalc.qvertex"},
+            {"argparse", "json", "codecalc.bernstein"},
+        ),
+    ],
+    ids=["json", "act-q"],
+)
+def test_cli_start_imports_what_its_command_uses(argv, out, loads, skips):
+    got, new = _cli_start(*argv)
+    assert got == out
+    assert loads <= new and not new & skips
+
+
+def test_cli_start_help_still_comes_from_argparse():
+    out, new = _cli_start("straighten", "-h")
+    assert out[0].startswith("usage: codecalc straighten [-h]")
+    assert "argparse" in new
+
+
+def _table(parser, actions, exclusive=()) -> tuple:
+    """A command's table for _match, read from its parser's Actions as cli read
+    it before the spec: option string -> option, the positional, the required
+    dests, the exclusive dests and the defaults, the handler included."""
+
+    def option(action):
+        return (action.dest, action.nargs, action.const, action.type, action.choices)
+
+    return (
+        {s: option(a) for a in actions for s in a.option_strings},
+        next((option(a) for a in actions if not a.option_strings), None),
+        {a.dest for a in actions if a.required},
+        {a.dest for a in exclusive},
+        {**{a.dest: a.default for a in actions}, "handler": parser.get_default("handler")},
+    )
+
+
+def test_the_spec_tables_are_read_off_the_parsers_actions():
+    # argparse keeps a parser's Actions and groups in private attributes
+    parser = cli._build_parser()
+    (commands,) = (a for a in parser._actions if a.dest == "command")
+    assert list(commands.choices) == list(cli._COMMANDS) == list(cli._TABLES)
+    for name, p in commands.choices.items():
+        actions = [a for a in p._actions if a.dest != "help"]
+        groups = p._mutually_exclusive_groups
+        assert all(group.required for group in groups)
+        exclusive = [a for group in groups for a in group._group_actions]
+        assert _table(p, actions, exclusive) == cli._TABLES[name], name
 
 
 def test_parser_is_built_once():
@@ -489,8 +560,8 @@ PLAIN_EDGES = [
 )
 def test_a_command_parser_answers_as_the_top_level_parse(capsys, monkeypatch, argv, env):
     parser = cli._build_parser()
-    if argv and argv[0] in parser.tables:
-        ns = cli._match(parser.tables[argv[0]], argv[1:])
+    if argv and argv[0] in cli._TABLES:
+        ns = cli._match(cli._TABLES[argv[0]], argv[1:])
         if ns is not None:
             assert {**vars(ns), "command": argv[0]} == vars(parser.parse_args(argv))
     table = _outcome(capsys, monkeypatch, argv, env)
@@ -517,7 +588,7 @@ def test_a_plain_argv_takes_no_argparse_pass(capsys, monkeypatch):
         assert _run(capsys, *argv) == (0, expected, ""), argv
     code, out, _ = _run(capsys, "verify", "--suite", "corpus")
     assert code == 0 and out.startswith("suite=corpus cases=")
-    assert {argv[0] for argv, _ in GOLDEN_TEXT} | {"verify"} == set(parser.tables)
+    assert {argv[0] for argv, _ in GOLDEN_TEXT} | {"verify"} == set(cli._TABLES)
     assert calls == []  # every plain argv is answered from its command's table
 
     # any other argv takes exactly one top-level parse

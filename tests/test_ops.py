@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 import types
 
@@ -57,3 +58,32 @@ def test_package_serves_every_public_name_on_first_use():
     assert namespace["SUITES"] is verify.SUITES
     with pytest.raises(AttributeError):
         codecalc.no_such_name
+
+
+def test_a_patched_route_is_never_kept_in_the_table():
+    # in a fresh interpreter, so that no qvertex op has run before the patch
+    script = """
+from codecalc import ops, qvertex
+args = {"index": [2], "n_max": 3}
+real = qvertex.q_series_j_form
+qvertex.q_series_j_form = lambda lam, n_max: []
+print(ops.run("q_series_j_form", args))
+qvertex.q_series_j_form = real
+print(ops.run("q_series_j_form", args))
+print(ops.OPS["q_series_j_form"][0] is real)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    patched, answer, kept = proc.stdout.splitlines()
+    assert patched == "{'terms': []}"  # the patch answered the first call
+    assert answer == repr(ops.run("q_series_j_form", {"index": [2], "n_max": 3}))
+    assert answer.startswith("{'terms': [{") and kept == "True"
+
+
+def test_after_its_first_call_an_op_is_its_module_function():
+    for line in verify.corpus_lines():
+        entry = json.loads(line)
+        ops.run(entry["op"], entry["args"])
+    for op, (fn, _, _) in ops.OPS.items():
+        assert isinstance(fn, types.FunctionType) and fn.__name__ == op, op
+        assert fn is getattr(sys.modules[fn.__module__], op), op

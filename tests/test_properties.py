@@ -348,6 +348,6 @@ def test_cli_exit_contract(argv):
         assert err.splitlines()[-1].startswith(("error:", "internal error:")), (argv, err)
     # argparse, parsing every argv, ends each alike
     assert _ends(argv, match=lambda table, args: None) == (code, out, err)
-    ns = cli._match(parser.tables[argv[0]], argv[1:])
+    ns = cli._match(cli._TABLES[argv[0]], argv[1:])
     if ns is not None:
         assert {**vars(ns), "command": argv[0]} == vars(parser.parse_args(argv))

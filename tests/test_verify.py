@@ -48,6 +48,16 @@ def _leading_l(word_type, real):
     return lambda parts: _built(word_type, (-1,) + real(parts).runs)
 
 
+def _raises(error):
+    def breaker(real):
+        def broken(*args):
+            raise error("broken on purpose")
+
+        return broken
+
+    return breaker
+
+
 BROKEN_ROUTES = [
     # (module, attribute, how to break it, suite, op whose check must fail);
     # the position helpers take a word's runs
@@ -68,6 +78,8 @@ BROKEN_ROUTES = [
         verify.verify_shifted,
         "encode_valid",
     ),
+    # a fault that is no CalcError, as a slip of an index makes
+    (qvertex, "q_series_j_form", _raises(IndexError), verify.verify_qvertex, "series_forms"),
 ]
 
 
@@ -200,6 +212,49 @@ def test_an_enumeration_error_is_one_recorded_failure(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out.startswith("suite=codes cases=1 failures=1 ") and err == ""
     assert "broken on purpose" in out
+
+
+def _verify_per_check(capsys, argv):
+    """cli.main(argv) on a verify argv: exit code, stdout, stderr and the cases
+    of each check."""
+    per_check = Counter()
+    check = verify.VerifyReport.check
+
+    def counted(report, input_, expected, got):
+        per_check[input_["op"]] += 1
+        check(report, input_, expected, got)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify.VerifyReport, "check", counted)
+        code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err, per_check
+
+
+def test_a_route_that_raises_is_recorded_and_every_other_check_counted(monkeypatch, capsys):
+    argv = ["verify", "--suite", "qvertex"]
+    code, _, _, whole = _verify_per_check(capsys, argv)
+    assert code == 0
+    monkeypatch.setattr(qvertex, "q_series_j_form", _raises(IndexError)(None))
+    code, out, err, broken = _verify_per_check(capsys, argv)
+    assert code == 1 and err == "" and "Traceback" not in out
+    summary, *failures = out.splitlines()
+    failures = [json.loads(line) for line in failures]
+    assert failures and summary.startswith(
+        f"suite=qvertex cases={sum(broken.values())} failures={len(failures)} "
+    )
+    assert {f["input"]["op"] for f in failures} == {"series_forms"}
+    assert {f["got"] for f in failures} == {"IndexError: broken on purpose"}
+    # series_strict checks the j-form's terms, and a j-form that raises has none
+    assert broken.pop("series_strict", 0) == 0 and whole.pop("series_strict") > 0
+    assert broken == whole
+
+
+def test_a_memory_error_still_ends_verify_with_the_error_line(monkeypatch, capsys):
+    monkeypatch.setattr(qvertex, "q_series_j_form", _raises(MemoryError)(None))
+    assert cli.main(["verify", "--suite", "qvertex"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: out of memory\n"
 
 
 def test_replay_reports_first_bad_step(monkeypatch):
