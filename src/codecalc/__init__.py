@@ -7,10 +7,15 @@ shift by a staircase under the hood) and the strict side (Schur-Q functions,
 anticommuting vertex operators).  Every nontrivial computation has at least
 two independent routes, and the verify module sweeps them against each other.
 
-Every public name loads on first use: ``from codecalc import straighten_code``
-imports only ``core`` and ``codes``.  A CLI start never imports ``verify``, nor
-a route module that its command does not run (see ``ops``).
+Every public name loads on first use: ``_HOME`` names the module that defines
+it, and ``_load`` imports that module and reads the name off it.  So ``from
+codecalc import straighten_code`` imports only ``core`` and ``codes``.  The
+package keeps a name's value after its first use; ``ops`` loads an op's
+function anew on each call, so a CLI start never imports ``verify``, nor a
+route module that its command does not run.
 """
+
+from sys import modules as _modules
 
 __version__ = "0.1.0"
 
@@ -71,14 +76,21 @@ _HOME = {
 __all__ = list(_HOME)
 
 
+def _load(name):
+    """A public name's value as its home module holds it now; the first use of
+    any of the module's names imports it."""
+    home = f"{__name__}.{_HOME[name]}"
+    # a loaded module is looked up, as ops loads on every call and __import__
+    # costs about 0.5 us there; __import__, unlike importlib.import_module,
+    # shows in python -X importtime
+    return getattr(_modules.get(home) or __import__(home, fromlist=(name,)), name)
+
+
 def __getattr__(name):
-    """Import the module that defines a public name, on its first use."""
+    """A public name's value, loaded on its first use and kept from then on."""
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # __import__, unlike importlib.import_module, shows in python -X importtime
-    module = __import__(f"{__name__}.{_HOME[name]}", fromlist=(name,))
-    value = getattr(module, name)
-    globals()[name] = value  # later lookups skip this function
+    value = globals()[name] = _load(name)  # later lookups skip this function
     return value
 
 

@@ -11,7 +11,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import ops
+from . import _load, ops
 from .core import (
     DomainError,
     InternalInvariantError,
@@ -116,8 +116,7 @@ def _cmd_straighten(args) -> int:
         validate_composition(mu)  # B rows are nonnegative for every method, the oracle too
     results = {}
     for name, (op, encoder) in chosen.items():
-        op_args = {"letters": ops.OPS[encoder][0](mu)} if encoder else {"index": mu}
-        results[name] = ops.run(op, op_args)
+        results[name] = ops.call(op, _load(encoder)(mu) if encoder else mu)
     values = list(results.values())
     if any(v != values[0] for v in values[1:]):
         raise InternalInvariantError(f"straightening methods disagree: {results!r}")

@@ -501,8 +501,9 @@ def verify_corpus(path: str | None = None) -> VerifyReport:
     """Replay every corpus entry and require canonical-JSON-identical results.
 
     A line that is not a JSON object with "op", "args" (an object) and
-    "expected", whose args the op cannot take, or whose op raises, is a
-    failure of that line.
+    "expected", whose args the op cannot take (an argument missing, an index
+    not iterable), or whose op raises, is a failure of that line; what the op
+    raises is recorded against the line's "expected".
     """
     report = VerifyReport("corpus")
     start = time.perf_counter()
@@ -522,10 +523,12 @@ def verify_corpus(path: str | None = None) -> VerifyReport:
             continue
         where = {"line": lineno, "op": op, "args": args}
         try:
-            got = ops.run(op, args)
-        except (AttributeError, KeyError, TypeError) as exc:
+            arguments = ops.arguments(op, args)
+        except (KeyError, TypeError) as exc:
             report.fail(where, f"args that {op} takes", f"{type(exc).__name__}: {exc}")
             continue
+        try:
+            got = ops.call(op, *arguments)
         except _OUT_OF_MEMORY:
             raise
         except Exception as exc:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from codecalc import cli, ops, verify
+from codecalc import cli, codes, verify
 from codecalc.cli import main
 from codecalc.core import canonical_json
 
@@ -124,7 +124,7 @@ def test_out_of_memory_is_an_error_line(capsys, monkeypatch):
     def exhausted(parts):
         raise MemoryError  # what encoding a part too large for memory ends in
 
-    monkeypatch.setitem(ops.OPS, "straighten_B", (exhausted, ("index",), None))
+    monkeypatch.setattr(codes, "straighten_B", exhausted)
     assert _run(capsys, "straighten", "--algebra", "b", "100000000000") == (
         1,
         "",
@@ -426,8 +426,46 @@ def test_cli_start_imports_neither_dataclasses_nor_verify():
             {"codecalc.qvertex"},
             {"argparse", "json", "codecalc.bernstein"},
         ),
+        (
+            ("act", "--algebra", "b", "-n", "1", "--index", "2"),
+            ["0"],
+            {"codecalc.bernstein"},
+            {"argparse", "json", *ROUTE_MODULES - {"codecalc.bernstein"}},
+        ),
+        (
+            ("series", "--algebra", "b", "--index", "1", "--i-max", "2"),
+            ["-t^-1 * B[0,0]", "+t^1 * B[1,1]"],
+            {"codecalc.bernstein"},
+            {"argparse", "json", *ROUTE_MODULES - {"codecalc.bernstein"}},
+        ),
+        (
+            ("straighten", "--algebra", "b", "--method", "oracle", "1,3"),
+            ["-1 * B[2,2]"],
+            {"codecalc.oracle"},
+            {"argparse", "json", "codecalc.codes", *ROUTE_MODULES - {"codecalc.oracle"}},
+        ),
+        (
+            ("straighten", "--algebra", "q", "--method", "code", "2,3"),
+            ["-1 * Q[3,2]"],
+            {"codecalc.qvertex", "codecalc.oracle"},
+            {"argparse", "json", "codecalc.bernstein", "codecalc.shifted"},
+        ),
+        (
+            ("code", "--shifted", "--index", "3,1"),
+            ["URU"],
+            {"codecalc.shifted", "codecalc.qvertex", "codecalc.oracle"},
+            {"argparse", "json", "codecalc.bernstein"},
+        ),
     ],
-    ids=["json", "act-q"],
+    ids=[
+        "json",
+        "act-q",
+        "act-b",
+        "series-b",
+        "straighten-b-oracle",
+        "straighten-q-code",
+        "code-shifted",
+    ],
 )
 def test_cli_start_imports_what_its_command_uses(argv, out, loads, skips):
     got, new = _cli_start(*argv)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import types
 import pytest
 
 import codecalc
-from codecalc import ops, verify
+from codecalc import ops, qvertex, verify
 from codecalc.core import canonical_json
 
 
@@ -60,9 +61,31 @@ def test_package_serves_every_public_name_on_first_use():
         codecalc.no_such_name
 
 
+def test_an_error_the_op_raises_is_recorded_against_expected(monkeypatch):
+    def slip(parts):
+        raise KeyError("slip")  # a route's own fault, though its args are right
+
+    monkeypatch.setattr(qvertex, "straighten_Y_code", slip)
+    report = verify.verify_corpus()
+    entries = list(enumerate(map(json.loads, verify.corpus_lines()), start=1))
+    assert report.cases == len(entries)
+    assert report.failures == [
+        {
+            "suite": "corpus",
+            "input": {"line": lineno, "op": entry["op"], "args": entry["args"]},
+            "expected": entry["expected"],
+            "got": "KeyError: 'slip'",
+        }
+        for lineno, entry in entries
+        if entry["op"] == "straighten_Y_code"
+    ]
+    assert len(report.failures) == 5
+
+
 def test_a_patched_route_is_never_kept_in_the_table():
     # in a fresh interpreter, so that no qvertex op has run before the patch
     script = """
+import codecalc
 from codecalc import ops, qvertex
 args = {"index": [2], "n_max": 3}
 real = qvertex.q_series_j_form
@@ -70,7 +93,7 @@ qvertex.q_series_j_form = lambda lam, n_max: []
 print(ops.run("q_series_j_form", args))
 qvertex.q_series_j_form = real
 print(ops.run("q_series_j_form", args))
-print(ops.OPS["q_series_j_form"][0] is real)
+print(codecalc._load("q_series_j_form") is real)
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -80,10 +103,15 @@ print(ops.OPS["q_series_j_form"][0] is real)
     assert answer.startswith("{'terms': [{") and kept == "True"
 
 
-def test_after_its_first_call_an_op_is_its_module_function():
-    for line in verify.corpus_lines():
-        entry = json.loads(line)
-        ops.run(entry["op"], entry["args"])
-    for op, (fn, _, _) in ops.OPS.items():
-        assert isinstance(fn, types.FunctionType) and fn.__name__ == op, op
-        assert fn is getattr(sys.modules[fn.__module__], op), op
+# the keys ops._json_value knows, and None for a value's to_dict()
+KEYS = {None, "index", "kind", "letters", "poly", "terms", "value"}
+
+
+def test_every_op_is_a_function_its_home_module_defines():
+    for op, (names, key) in ops.OPS.items():
+        assert op in codecalc._HOME, op
+        home = importlib.import_module(f"codecalc.{codecalc._HOME[op]}")
+        fn = getattr(home, op)
+        assert isinstance(fn, types.FunctionType) and fn.__module__ == home.__name__, op
+        # the table holds data only: argument names and a JSON key
+        assert names and all(isinstance(n, str) for n in names) and key in KEYS, op

@@ -10,6 +10,7 @@ case counts and the README's tables of checks.
 
 from __future__ import annotations
 
+import importlib
 import json
 import re
 from collections import Counter
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import codecalc
 from codecalc import bernstein, cli, codes, ops, qvertex, shifted, verify
 from codecalc.codes import _built
 from codecalc.core import negate
@@ -169,10 +171,11 @@ def _failed_checks() -> set:
 @pytest.mark.parametrize("check", sorted(verify.REFERENCES))
 def test_sweeps_report_every_broken_reference_entry(monkeypatch, check):
     op = verify.REFERENCES[check][0]
-    fn, names, key = ops.OPS[op]
+    home = importlib.import_module(f"codecalc.{codecalc._HOME[op]}")
+    fn, key = getattr(home, op), ops.OPS[op][1]
     # a wrong answer: the sign flipped, or -1 in place of an index, word or row
     wrong = (lambda *args: negate(fn(*args))) if key is None else (lambda *args: -1)
-    monkeypatch.setitem(ops.OPS, op, (wrong, names, key))
+    monkeypatch.setattr(home, op, wrong)
     failed = _failed_checks()
     assert check in failed, sorted(failed)
 
