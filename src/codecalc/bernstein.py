@@ -112,7 +112,7 @@ def _series(lam: Composition, i_max: int, t_max: int) -> list[SeriesTerm]:
     runs = encode_code(lam).runs
     rows = _rows(runs)
     lowered = tuple(r - 1 for r in rows)
-    l, base = len(rows), sum(lam)
+    l = len(rows)
     b = below = 0  # run b holds the i-th R; below counts the R's of runs[:b]
     terms: list[SeriesTerm] = []
     for i in range(1, i_max + 1):
@@ -120,14 +120,14 @@ def _series(lam: Composition, i_max: int, t_max: int) -> list[SeriesTerm]:
             below += runs[b]
             b += 1
         j = l - b
+        t_exp = i - 1 - j  # |index| - |lam|: j rows lose one, a row i - 1 goes in
+        if t_exp > t_max:
+            break
         index = lowered[:j] + (i - 1,) + rows[j:]
         # the new row sits between its neighbours, so the term is a partition
         if (j and lowered[j - 1] < i - 1) or (j < l and rows[j] > i - 1):
             raise InternalInvariantError(f"sup-index off at i={i} for {lam!r}: {index!r}")
-        t_exp = sum(index) - base
-        if t_exp > t_max:
-            break
-        terms.append(SeriesTerm._make("schur", i, t_exp, i - 1 - t_exp, index))
+        terms.append(SeriesTerm._make("schur", i, t_exp, j, index))
     return terms
 
 

@@ -88,22 +88,26 @@ def _cmd_code(args) -> int:
     return _print(args, ops.run(f"encode_{style}", {"index": parse_index(args.index)}))
 
 
-# (--algebra, --method) -> (op, the encoder op whose word it takes, or None)
+# --algebra -> --method -> (op, the encoder op whose word it takes, or None)
 _METHODS = {
-    ("b", "code"): ("straighten_B", None),
-    ("b", "reading"): ("reading_straighten", "encode_code"),
-    ("b", "oracle"): ("exponent_straighten", None),
-    ("q", "code"): ("straighten_Y_code", None),
-    ("q", "perm"): ("straighten_Y_perm", None),
-    ("q", "shifted"): ("shifted_straighten", "encode_shifted"),
+    "b": {
+        "code": ("straighten_B", None),
+        "reading": ("reading_straighten", "encode_code"),
+        "oracle": ("exponent_straighten", None),
+    },
+    "q": {
+        "code": ("straighten_Y_code", None),
+        "perm": ("straighten_Y_perm", None),
+        "shifted": ("shifted_straighten", "encode_shifted"),
+    },
 }
 
 
 def _cmd_straighten(args) -> int:
     mu = parse_index(args.index)
-    methods = {m: route for (algebra, m), route in _METHODS.items() if algebra == args.algebra}
+    methods = _METHODS[args.algebra]
     if args.method == "all":
-        chosen = dict(methods)
+        chosen = dict(methods)  # a copy: the shared table is never edited
         if args.algebra == "q" and any(p < 1 for p in mu):
             del chosen["shifted"]  # shifted codes carry positive rows only
     elif args.method in methods:
@@ -117,10 +121,12 @@ def _cmd_straighten(args) -> int:
     results = {}
     for name, (op, encoder) in chosen.items():
         results[name] = ops.call(op, _load(encoder)(mu) if encoder else mu)
-    values = list(results.values())
-    if any(v != values[0] for v in values[1:]):
-        raise InternalInvariantError(f"straightening methods disagree: {results!r}")
-    return _print(args, values[0], args.algebra.upper())
+    values = iter(results.values())
+    first = next(values)
+    for value in values:
+        if value != first:
+            raise InternalInvariantError(f"straightening methods disagree: {results!r}")
+    return _print(args, first, args.algebra.upper())
 
 
 def _cmd_act(args) -> int:
@@ -331,16 +337,16 @@ def _match(table, args):
     values = {}
     args = iter(args)
     for arg in args:
-        if _plain(arg):
-            option, value = positional, arg
-        elif arg in options:
-            option = options[arg]
+        option = options.get(arg)  # no option string is plain, so look it up first
+        if option is not None:
             if option[1] == 0:  # nargs 0: a store_true flag, which takes its const
                 value = option[2]
             else:
                 value = next(args, None)
-                if value is None or not _plain(value):
+                if value is None or (value[:1] == "-" and not _is_int(value)):  # _plain, inlined
                     return None
+        elif _plain(arg):
+            option, value = positional, arg
         else:
             name, eq, value = arg.partition("=")
             option = options.get(name) if eq and name[:2] == "--" else None

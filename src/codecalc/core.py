@@ -193,7 +193,7 @@ def parse_index(text: str) -> Composition:
 
 def render_index(parts: Composition) -> str:
     """Inverse of parse_index: "1,3,1,6,2" for (1, 3, 1, 6, 2), "" for ()."""
-    return ",".join(str(p) for p in parts)
+    return ",".join(map(str, parts))
 
 
 def _exact(value):

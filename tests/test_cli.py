@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import subprocess
 import sys
@@ -10,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from codecalc import cli, codes, verify
+import codecalc
+from codecalc import cli, codes, shifted, verify
 from codecalc.cli import main
-from codecalc.core import canonical_json
+from codecalc.core import SignedIndexResult, canonical_json
 
 
 def _run(capsys, *argv, env_format=None, monkeypatch=None):
@@ -170,6 +172,62 @@ def test_integer_flags_take_ascii_digits_only(capsys, prefix, value):
 def test_method_all_skips_shifted_on_zero_rows(capsys):
     code, out, _ = _run(capsys, "straighten", "--algebra", "q", "--method", "all", "0,2")
     assert code == 0 and out == "-1 * Q[2,0]\n"
+
+
+def _home(op):
+    return importlib.import_module(f"codecalc.{codecalc._HOME[op]}")
+
+
+# one route of each algebra made to answer with the other sign
+@pytest.mark.parametrize(
+    "algebra,op,index,result",
+    [
+        ("b", "exponent_straighten", "1,3,1,6,2", (-1, (3, 3, 3, 2, 2))),
+        ("q", "straighten_Y_perm", "2,3", (1, (3, 2))),
+    ],
+)
+def test_disagreeing_methods_are_an_internal_error(capsys, monkeypatch, algebra, op, index, result):
+    monkeypatch.setattr(_home(op), op, lambda *args: SignedIndexResult(*result))
+    code, out, err = _run(capsys, "straighten", "--algebra", algebra, "--method", "all", index)
+    assert (code, out) == (2, "")
+    assert err.startswith("internal error: straightening methods disagree: ")
+    assert err.count("\n") == 1
+
+
+def test_method_all_leaves_the_shared_table_as_it_was(capsys, monkeypatch):
+    calls = []
+    real = shifted.shifted_straighten
+    monkeypatch.setattr(shifted, "shifted_straighten", lambda w: calls.append(w) or real(w))
+    table = {algebra: dict(methods) for algebra, methods in cli._METHODS.items()}
+    q_all = ("straighten", "--algebra", "q", "--method", "all")
+    assert _run(capsys, *q_all, "0,1") == (0, "-1 * Q[1,0]\n", "")
+    assert calls == []  # shifted codes carry positive rows only
+    assert _run(capsys, *q_all, "1,2") == (0, "-1 * Q[2,1]\n", "")
+    assert len(calls) == 1
+    assert cli._METHODS == table
+
+
+@pytest.mark.parametrize(
+    "algebra,method,index,expected",
+    [
+        ("b", "code", "1,3,1,6,2", "+1 * B[3,3,3,2,2]\n"),
+        ("b", "reading", "1,3,1,6,2", "+1 * B[3,3,3,2,2]\n"),
+        ("b", "oracle", "1,3,1,6,2", "+1 * B[3,3,3,2,2]\n"),
+        ("q", "code", "2,3", "-1 * Q[3,2]\n"),
+        ("q", "perm", "2,3", "-1 * Q[3,2]\n"),
+        ("q", "shifted", "2,3", "-1 * Q[3,2]\n"),
+    ],
+)
+def test_one_method_runs_no_other_route(capsys, monkeypatch, algebra, method, index, expected):
+    def refuse(*args):
+        raise AssertionError("a route that was not asked for ran")
+
+    for a, methods in cli._METHODS.items():
+        for m, (op, _) in methods.items():
+            if (a, m) != (algebra, method):
+                monkeypatch.setattr(_home(op), op, refuse)
+    code, out, err = _run(capsys, "straighten", "--algebra", algebra, "--method", method, index)
+    assert (code, out, err) == (0, expected, "")
 
 
 @pytest.mark.parametrize("method", ["code", "reading", "oracle", "all"])
