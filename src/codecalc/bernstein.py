@@ -4,15 +4,17 @@ Applying the degree-n operator to a partition is one pass of the plain exchange
 rule of ``codes``: n goes on top of the code word as a new run, and the
 straightened word either vanishes, is (n,) + lam itself, or (for small n) turns
 one R into a U.  The series expansion of the operator product is indexed by
-i >= 1 via the sup-indexes lambda^(i).  Every route here reads the word's runs
-(``codes.CodeWord.runs``), so a call or a series term costs O(rows) whatever
-the parts.
+i >= 1 via the sup-indexes lambda^(i): term i turns the i-th R into a U, in
+one walk of the word (``codes._series``) that the Schur-Q i-form shares.  Every
+route here reads the word's runs (``codes.CodeWord.runs``), so a call or a
+series term costs O(rows) whatever the parts.
 """
+
+from functools import partial
 
 from .core import (
     Composition,
     DomainError,
-    InternalInvariantError,
     SERIES_MAX,
     SignedIndexResult,
     _Value,
@@ -22,7 +24,7 @@ from .core import (
     is_partition,
     validate_composition,
 )
-from .codes import _replace_ith_r, _rows, _signed, _sum_exchanges, encode_code
+from .codes import _replace_ith_r, _rows, _series, _signed, _sum_exchanges, encode_code
 
 
 def _validated_partition(parts) -> Composition:
@@ -100,35 +102,8 @@ class SeriesTerm(_Value):
         }
 
 
-def _series(lam: Composition, i_max: int, t_max: int) -> list[SeriesTerm]:
-    """Terms i = 1..i_max for a validated partition, in one pass over its code
-    word, up to the first whose t-exponent passes t_max.
-
-    Term i turns the i-th R into a U (``lambda_sup``): with run b of the word
-    holding that R, the top l - b rows drop by one and a row i - 1 goes in
-    below them.  A cursor walks the runs once as i grows, so each term is one
-    C-level copy of the rows.
-    """
-    runs = encode_code(lam).runs
-    rows = _rows(runs)
-    lowered = tuple(r - 1 for r in rows)
-    l = len(rows)
-    b = below = 0  # run b holds the i-th R; below counts the R's of runs[:b]
-    terms: list[SeriesTerm] = []
-    for i in range(1, i_max + 1):
-        while b < l and below + runs[b] < i:
-            below += runs[b]
-            b += 1
-        j = l - b
-        t_exp = i - 1 - j  # |index| - |lam|: j rows lose one, a row i - 1 goes in
-        if t_exp > t_max:
-            break
-        index = lowered[:j] + (i - 1,) + rows[j:]
-        # the new row sits between its neighbours, so the term is a partition
-        if (j and lowered[j - 1] < i - 1) or (j < l and rows[j] > i - 1):
-            raise InternalInvariantError(f"sup-index off at i={i} for {lam!r}: {index!r}")
-        terms.append(SeriesTerm._make("schur", i, t_exp, j, index))
-    return terms
+# a term of the series walk (``codes._series``) as a SeriesTerm
+_schur_term = partial(SeriesTerm._make, "schur")
 
 
 def bernstein_series(lam, i_max: int) -> list[SeriesTerm]:
@@ -139,7 +114,8 @@ def bernstein_series(lam, i_max: int) -> list[SeriesTerm]:
     """
     lam = _validated_partition(lam)
     i_max = check_int(i_max, "i_max", 0, SERIES_MAX)
-    return _series(lam, i_max, i_max)  # every t-exponent is below i
+    # every t-exponent is below i, so t_max = i_max cuts no term
+    return _series(encode_code(lam).runs, 0, 1, i_max, i_max, _schur_term)
 
 
 def bernstein_series_window(lam, n_max: int) -> list[SeriesTerm]:
@@ -153,4 +129,4 @@ def bernstein_series_window(lam, n_max: int) -> list[SeriesTerm]:
     """
     lam = _validated_partition(lam)
     n_max = check_int(n_max, "n_max", None, SERIES_MAX)
-    return _series(lam, n_max + 1 + len(lam), n_max)
+    return _series(encode_code(lam).runs, 0, 1, n_max + 1 + len(lam), n_max, _schur_term)

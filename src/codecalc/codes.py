@@ -206,6 +206,40 @@ def _replace_ith_r(runs, i: int):
     return runs + (i - 1,)
 
 
+def _series(runs, shift: int, i_min: int, i_max: int, t_max: int, term) -> list:
+    """Terms i_min..i_max of a series over a word without L's, up to the first
+    whose t-exponent passes t_max: ``term(i, t-exponent, sign exponent, index)``.
+
+    Term i turns the i-th R, in run b, into a U (``_replace_ith_r``); the sign
+    exponent is j = l - b.  At ``shift`` 0 the j rows above run b drop by one
+    and a row i - 1 goes in below them; at ``shift`` 1 they stay and a row
+    i + b goes in.  The t-exponent, |index| - |rows|, is i - 1 - j + shift *
+    (l + 1).  A cursor walks the runs once as i grows, so each term is one
+    C-level copy of the rows.
+    """
+    rows = _rows(runs, shift)
+    above = rows if shift else tuple(r - 1 for r in rows)  # rows above run b, in a term
+    l = len(rows)
+    t_base = shift * (l + 1) - 1
+    b = below = 0  # run b holds the i-th R; below counts the R's of runs[:b]
+    terms = []
+    for i in range(i_min, i_max + 1):
+        while b < l and below + runs[b] < i:
+            below += runs[b]
+            b += 1
+        j = l - b
+        t_exp = i - j + t_base
+        if t_exp > t_max:
+            break
+        new = i - 1 + shift * (b + 1)
+        index = above[:j] + (new,) + rows[j:]
+        # the new row sits between its neighbours: weakly plain, strictly shifted
+        if (j and above[j - 1] < new + shift) or (j < l and rows[j] + shift > new):
+            raise InternalInvariantError(f"series term off at i={i} for {rows!r}: {index!r}")
+        terms.append(term(i, t_exp, j, index))
+    return terms
+
+
 def _exchanged(runs, i: int, left: int, right: int, j: int, rest: int):
     """Runs with run i cut by a new U into ``left`` and ``right``, and run j,
     left with ``rest``, merged past its dropped U into run j + 1 (or the R-tail)."""

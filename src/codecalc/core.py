@@ -220,10 +220,10 @@ def validate_composition(parts: Composition, *, minimum: int | None = 0) -> Comp
 
 
 # Largest i_max / n_max a series accepts.  A series walks its code word once,
-# a cursor moving to the run that holds each term's R or RR pair, and each
-# term is one C-level copy of the rows: O(rows) a term whatever i and the parts
-# are.  So the cap bounds the size of the answer: a series has at most
-# SERIES_MAX + 1 terms.
+# a cursor moving to the run that holds each term's R, and each term is one
+# C-level copy of the rows: O(rows) a term whatever i and the parts are.  So
+# the cap bounds the size of the answer: a series has at most SERIES_MAX + 1
+# terms.
 SERIES_MAX = 10_000
 
 

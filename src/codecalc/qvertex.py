@@ -4,13 +4,15 @@ Products of the degree-n operators here anticommute, and a repeated degree
 annihilates, so straightening an index is signed sorting into a strictly
 decreasing index (possibly with one trailing zero row).  The same result is
 computed two independent ways: by counting out-of-order pairs directly, and by
-rewriting the code word.
+rewriting the code word.  The bracket-indexes and the series i-form turn the
+shifted word's i-th R into a U, the row-adding side's rule (``codes._series``):
+read through the staircase U -> UL, that is [HJS]'s U put into the i-th RR
+pair of the plain word.
 """
 
 from .core import (
     Composition,
     DomainError,
-    InternalInvariantError,
     SERIES_MAX,
     SignedIndexResult,
     ZERO,
@@ -22,7 +24,16 @@ from .core import (
     signed_result,
     validate_composition,
 )
-from .codes import _rows, _signed, encode_code, straighten_code_trace
+from .codes import (
+    ShiftedCodeWord,
+    _encode,
+    _replace_ith_r,
+    _rows,
+    _series,
+    _signed,
+    encode_code,
+    straighten_code_trace,
+)
 from .oracle import _signed_sort
 
 
@@ -64,32 +75,25 @@ def yn_action(n: int, lam) -> SignedIndexResult:
     return signed_result(j, lam[:j] + (n,) + lam[j:])
 
 
-def _bracket_by_code(runs, i: int):
-    """Runs of a word without L's with a U inserted into its i-th adjacent
-    R-pair.
-
-    Pairs are counted left to right, overlaps allowed (a run of d R's holds
-    d - 1 of them), continuing into the implicit R-tail past the word's end;
-    i = 0 puts the U before the first R.
-    """
-    for b, d in enumerate(runs):
-        if i < d:
-            return runs[:b] + (i, d - i) + runs[b + 1 :]
-        i -= max(d - 1, 0)
-    return runs + (i,)
+def _bracket(lam: Composition, i: int) -> Composition:
+    """The i-th bracket-index of a validated strict lam, for ``lambda_bracket``
+    and ``shifted.lambda_bracket_shifted``: a zero row appended at i = 0, else
+    the shifted word's i-th R turned into a U."""
+    if not i:
+        return lam + (0,)
+    return _rows(_replace_ith_r(_encode(ShiftedCodeWord, lam).runs, i), ShiftedCodeWord.shift)
 
 
 def lambda_bracket(lam, i: int) -> Composition:
     """The i-th bracket-index of a strict index (i = 0 appends a zero row).
 
-    A U goes into the i-th RR pair of the code word, which for i >= 1 inserts
-    the i-th positive value absent from lam (i = 0 puts it before the first R).
-    ``codecalc verify`` checks this code route against the value insertion
-    (suite qvertex, op bracket_code).
+    For i >= 1 it inserts the i-th positive value absent from lam: the shifted
+    word's i-th R becomes a U (``_bracket``).  ``codecalc verify`` checks this
+    code route against the value insertion (suite qvertex, op bracket_code).
     """
     lam = _validated_strict(lam)
     i = check_int(i, "bracket position", 0)
-    return _rows(_bracket_by_code(encode_code(lam).runs, i))
+    return _bracket(lam, i)
 
 
 class QSeriesTerm(_Value):
@@ -147,32 +151,15 @@ def q_series_i_form(lam, i_max: int) -> list[QSeriesTerm]:
     """Series terms i = 0..i_max via bracket-indexes; must agree with the j-form.
 
     Term i carries index lambda^[i], t-exponent n = |lambda^[i]| - |lam| and
-    sign exponent len(lam) + |lam| - |lambda^[i]| + i, which is checked to be
-    the insertion slot of n on every call.  Term i puts a U into the i-th RR
-    pair of the code word (``lambda_bracket``): with run b of the word holding
-    that pair, the new row n goes in below the top l - b rows.  A cursor walks
-    the runs once as i grows, so each term is one C-level copy of the rows.
+    sign exponent len(lam) + |lam| - |lambda^[i]| + i, the insertion slot of
+    n.  Term i turns the i-th R of the shifted word into a U (``_bracket``),
+    in one walk of its runs (``codes._series``): with run b holding that R,
+    n = i + b goes in below the top l - b rows.
     """
     lam = _validated_strict(lam)
     i_max = check_int(i_max, "i_max", 0, SERIES_MAX)
-    runs = encode_code(lam).runs
-    rows = _rows(runs)
-    l = len(rows)
-    # run b holds the i-th RR pair (a run of d R's holds d - 1 of them);
-    # below counts the R's and pairs the pairs of runs[:b]
-    b = below = pairs = 0
-    terms: list[QSeriesTerm] = []
-    for i in range(i_max + 1):
-        while b < l and i - pairs >= runs[b]:
-            below += runs[b]
-            pairs += runs[b] - 1
-            b += 1
-        n = below + i - pairs
-        index = rows[: l - b] + (n,) + rows[l - b :]
-        sign_exp = l - n + i
-        if sign_exp != index.index(n):
-            raise InternalInvariantError(
-                f"series bookkeeping off at i={i} for {lam!r}: {index!r}"
-            )
-        terms.append(QSeriesTerm._make(n, sign_exp, i, sign_exp, index))
-    return terms
+    runs, make = _encode(ShiftedCodeWord, lam).runs, QSeriesTerm._make
+    # n = i + b is at most i_max + len(lam), so the walk runs to i_max
+    return _series(
+        runs, 1, 0, i_max, i_max + len(lam), lambda i, n, j, index: make(n, j, i, j, index)
+    )

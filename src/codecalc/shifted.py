@@ -6,7 +6,7 @@ stored letters conceptually preceded by the infinite staircase ...ULULU and
 followed by R's only.  The word format and the exchange driver live in
 ``codes``; this module keeps the shifted-style entry points, ``preshift``
 (plain code -> shifted code, U -> UL, which on runs is d -> d - 1) and the
-shifted bracket-index.
+shifted bracket-index, the i-th R made a U as on the row-adding side.
 """
 
 from .core import (
@@ -22,12 +22,11 @@ from .codes import (
     _built,
     _decode,
     _encode,
-    _replace_ith_r,
     _rows,
     _signed,
     straighten_code_trace,
 )
-from .qvertex import _validated_strict
+from .qvertex import _bracket, _validated_strict
 
 
 def encode_shifted(parts) -> ShiftedCodeWord:
@@ -81,10 +80,10 @@ def preshift(word: CodeWord | str) -> PreshiftedWord:
 def lambda_bracket_shifted(lam, i: int) -> Composition:
     """The i-th bracket-index via the shifted code: its i-th R becomes a U.
 
-    Counts into the R-tail when i exceeds the stored R's.  ``codecalc verify``
-    checks this code route against the value insertion (suite shifted, op
-    bracket_shifted).
+    Counts into the R-tail when i exceeds the stored R's.  The route,
+    ``qvertex._bracket``, is ``lambda_bracket``'s too; ``codecalc verify``
+    checks it against the value insertion (suite shifted, op bracket_shifted).
     """
     lam = _validated_strict(lam)
     i = check_int(i, "bracket position", 1)
-    return _rows(_replace_ith_r(encode_shifted(lam).runs, i), ShiftedCodeWord.shift)
+    return _bracket(lam, i)

@@ -231,12 +231,13 @@ def _window(args):
 
 
 def _series_forms(args):
-    """The j-form equals the i-form's terms in the window n <= n_max."""
+    """The j-form equals the i-form's terms in the window n <= n_max, in order:
+    the i-form's n strictly increases in i and is at least i, so the window
+    lies at i <= n_max."""
     lam, n_max = tuple(args["index"]), args["n_max"]
-    in_window = [t for t in qvertex.q_series_i_form(lam, n_max + len(lam)) if t.n <= n_max]
     return (
         [t.to_dict() for t in _shared(qvertex.q_series_j_form, lam, n_max)],
-        sorted((t.to_dict() for t in in_window), key=lambda d: d["t_exp"]),
+        [t.to_dict() for t in qvertex.q_series_i_form(lam, n_max) if t.n <= n_max],
     )
 
 

@@ -169,3 +169,15 @@ def test_step_count_bounded_by_trailing_u_count():
             bound = letters[letters.index("L") :].count("U")
             steps, bad = verify._replay(letters, "plain")
             assert bad is None and steps <= bound, mu
+
+
+@pytest.mark.parametrize("shift", [0, 1], ids=["plain", "shifted"])
+def test_series_walk_refuses_a_new_row_out_of_place(monkeypatch, shift):
+    # The walk stops at the run whose rows straddle the i-th R, so on the rows
+    # of its own runs every new row fits between its neighbours.  Rows read
+    # out of order (here bottom row first) put a new row out of place, and the
+    # walk must raise rather than return a term that is no partition.
+    real = codes._rows
+    monkeypatch.setattr(codes, "_rows", lambda runs, shift=0: real(runs, shift)[::-1])
+    with pytest.raises(codes.InternalInvariantError, match="series term off at i=2"):
+        codes._series((1, 2, 0), shift, 0, 8, 99, lambda *term: term)

@@ -142,20 +142,41 @@ def test_preshift_relates_the_q_rule_to_the_shifted_rule_step_by_step():
     assert (distinct, repeated) == (3620, 15988)
 
 
+def _u_into_ith_rr_pair(runs, i: int):
+    """[HJS]'s rule on a plain word without L's: runs with a U inserted into
+    its i-th adjacent R-pair.
+
+    Pairs are counted left to right, overlaps allowed (a run of d R's holds
+    d - 1 of them), continuing into the implicit R-tail past the word's end;
+    i = 0 puts the U before the first R.  The package reads the shifted word
+    instead (its i-th R becomes a U), so this stays here as the reference.
+    """
+    for b, d in enumerate(runs):
+        if i < d:
+            return runs[:b] + (i, d - i) + runs[b + 1 :]
+        i -= max(d - 1, 0)
+    return runs + (i,)
+
+
 def test_the_q_bracket_is_the_shifted_r_to_u_read_through_the_staircase():
     # The bracket side of the same relation: a U put into the i-th RR pair of
     # the plain word gives the rows of the preshifted word with its i-th R
-    # turned into a U, read with the staircase.
+    # turned into a U, read with the staircase.  lambda_bracket and every
+    # i-form term take that shifted route, so both are held to the RR-pair rule.
     cases = 0
     for length in range(7):
         for lam in itertools.combinations(range(9, 0, -1), length):
             word = codes.encode_code(lam)
             preshifted = shifted.preshift(word).runs
+            terms = []
             for i in range(30):
-                assert codes._rows(qvertex._bracket_by_code(word.runs, i)) == codes._rows(
-                    codes._replace_ith_r(preshifted, i), 1
-                ), (lam, i)
+                rows = codes._rows(_u_into_ith_rr_pair(word.runs, i))
+                assert codes._rows(codes._replace_ith_r(preshifted, i), 1) == rows, (lam, i)
+                assert qvertex.lambda_bracket(lam, i) == rows, (lam, i)
+                n = sum(rows) - sum(lam)  # the new row, in slot rows.index(n)
+                terms.append(qvertex.QSeriesTerm(n, rows.index(n), i, rows.index(n), rows))
                 cases += 1
+            assert qvertex.q_series_i_form(lam, 29) == terms, lam
     assert cases == 13980
 
 

@@ -25,7 +25,7 @@ from codecalc.core import negate
 
 
 def _shift_i(real):
-    return lambda runs, i: real(runs, i + 1)
+    return lambda word_or_index, i: real(word_or_index, i + 1)
 
 
 def _extra_row(real):
@@ -60,12 +60,23 @@ def _raises(error):
     return breaker
 
 
+def _one_more_flip(real):
+    # the series walk with one more sign flip on every term
+    return lambda runs, shift, i_min, i_max, t_max, term: real(
+        runs, shift, i_min, i_max, t_max, lambda i, t_exp, j, index: term(i, t_exp, j + 1, index)
+    )
+
+
 BROKEN_ROUTES = [
     # (module, attribute, how to break it, suite, op whose check must fail);
-    # the position helpers take a word's runs
+    # _replace_ith_r takes a word's runs, the shared bracket route an index.
+    # The shared routes are broken where each side imports them, and each
+    # side's own reference must catch the fault.
     (bernstein, "_replace_ith_r", _shift_i, verify.verify_bernstein, "sup_code"),
-    (qvertex, "_bracket_by_code", _shift_i, verify.verify_qvertex, "bracket_code"),
-    (shifted, "_replace_ith_r", _shift_i, verify.verify_shifted, "bracket_shifted"),
+    (qvertex, "_bracket", _shift_i, verify.verify_qvertex, "bracket_code"),
+    (shifted, "_bracket", _shift_i, verify.verify_shifted, "bracket_shifted"),
+    (bernstein, "_series", _one_more_flip, verify.verify_bernstein, "series_action"),
+    (qvertex, "_series", _one_more_flip, verify.verify_qvertex, "series_forms"),
     (
         codes,
         "encode_code",
