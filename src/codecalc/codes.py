@@ -28,7 +28,7 @@ the two styles; it fixes the origin offset and the minimum row.
 """
 
 from itertools import accumulate, repeat
-from operator import sub
+from operator import ge, gt, sub
 
 from .core import (
     Composition,
@@ -208,7 +208,10 @@ def _replace_ith_r(runs, i: int):
 
 def _series(runs, shift: int, i_min: int, i_max: int, t_max: int, term) -> list:
     """Terms i_min..i_max of a series over a word without L's, up to the first
-    whose t-exponent passes t_max: ``term(i, t-exponent, sign exponent, index)``.
+    whose t-exponent passes t_max.  A term is ``term(i, t-exponent, sign
+    exponent, index)`` at ``shift`` 0 and ``term(t-exponent, sign exponent, i,
+    sign exponent, index)`` at ``shift`` 1: the field orders of SeriesTerm
+    (after its family) and QSeriesTerm, so each side passes its ``_make``.
 
     Term i turns the i-th R, in run b, into a U (``_replace_ith_r``); the sign
     exponent is j = l - b.  At ``shift`` 0 the j rows above run b drop by one
@@ -236,7 +239,7 @@ def _series(runs, shift: int, i_min: int, i_max: int, t_max: int, term) -> list:
         # the new row sits between its neighbours: weakly plain, strictly shifted
         if (j and above[j - 1] < new + shift) or (j < l and rows[j] + shift > new):
             raise InternalInvariantError(f"series term off at i={i} for {rows!r}: {index!r}")
-        terms.append(term(i, t_exp, j, index))
+        terms.append(term(t_exp, j, i, j, index) if shift else term(i, t_exp, j, index))
     return terms
 
 
@@ -304,12 +307,14 @@ def _check_straight(start: Composition, rows: Composition, shift: int, word) -> 
     and, on the unshifted rows, weakly decreasing with the bottom row >= 0.
 
     rows[i] - rows[i + 1] >= shift is the unshifted rows weakly decreasing; with
-    the staircase added, a shifted result is then strictly decreasing.
+    the staircase added, a shifted result is then strictly decreasing.  For
+    int rows and shift 0 or 1 that is rows[i] >= rows[i + 1], or >, checked
+    pairwise at C level.
     """
     if (
         len(rows) != len(start)
         or sum(rows) != sum(start)
-        or any(rows[i] - rows[i + 1] < shift for i in range(len(rows) - 1))
+        or not all(map(gt if shift else ge, rows, rows[1:]))
         or (rows and rows[-1] < shift)
     ):
         raise InternalInvariantError(f"straightening broke row count, total or order: {word!r}")

@@ -4,15 +4,24 @@ Every straightening routine in this package returns a :class:`SignedIndexResult`
 either the zero result, or a sign in {+1, -1} attached to a tuple of row lengths.
 """
 
+import sys
+from operator import ge, gt
+
 Composition = tuple[int, ...]
 
-# json and the encoder settings below, set on canonical_json's first call, so
-# that text output never imports json
-json = _CANONICAL = _SETTINGS = None
+# json and the encoders below, set on canonical_json's first call, so that
+# text output never imports json
+json = _CANONICAL = _SETTINGS = _STATELESS = None
+
+# Highest recursion limit at which canonical_json runs the marker-free encoder.
+# That encoder finds a cycle only by running into the recursion limit, and on
+# Python 3.10 and 3.11 its depth is bounded by nothing else: at a limit of
+# 200,000 a cyclic list overflowed the C stack of 3.11.7.
+_STATELESS_DEPTH = 10_000
 
 
 def _load_json() -> None:
-    global json, _CANONICAL, _SETTINGS
+    global json, _CANONICAL, _SETTINGS, _STATELESS
     import json
 
     # json.dumps builds a new encoder on every call once it gets non-default
@@ -22,6 +31,9 @@ def _load_json() -> None:
     _SETTINGS = (
         _CANONICAL.default, json.encoder.encode_basestring_ascii, None, ":", ",", True, False, True
     )
+    make = json.encoder.c_make_encoder
+    # no markers: it keeps no state between calls, so one serves every call
+    _STATELESS = make and make(None, *_SETTINGS)
 
 
 def canonical_json(obj) -> str:
@@ -34,7 +46,12 @@ def canonical_json(obj) -> str:
     make = json.encoder.c_make_encoder
     if make is None:  # no C accelerator: the encoder's own Python path
         return _CANONICAL.encode(obj)
-    return "".join(make({}, *_SETTINGS)(obj, 0))  # fresh markers: cycles still raise
+    if _STATELESS is not None and sys.getrecursionlimit() <= _STATELESS_DEPTH:
+        try:
+            return "".join(_STATELESS(obj, 0))
+        except RecursionError:
+            pass  # a cycle or nesting past the limit: the marked pass says which
+    return "".join(make({}, *_SETTINGS)(obj, 0))  # fresh markers: cycles raise ValueError
 
 
 class CalcError(Exception):
@@ -242,9 +259,7 @@ def check_int(value, name: str, minimum: int | None = None, maximum: int | None 
 
 def is_partition(parts: Composition) -> bool:
     """True when parts is weakly decreasing with nonnegative entries."""
-    return all(p >= 0 for p in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
-    )
+    return not parts or (parts[-1] >= 0 and all(map(ge, parts, parts[1:])))
 
 
 def is_strict_partition(parts: Composition) -> bool:
@@ -252,9 +267,7 @@ def is_strict_partition(parts: Composition) -> bool:
 
     Strictness forces at most one zero entry, necessarily in last position.
     """
-    return all(p >= 0 for p in parts) and all(
-        parts[i] > parts[i + 1] for i in range(len(parts) - 1)
-    )
+    return not parts or (parts[-1] >= 0 and all(map(gt, parts, parts[1:])))
 
 
 def classify(parts: Composition) -> str:

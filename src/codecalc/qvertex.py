@@ -46,8 +46,8 @@ def straighten_Y_perm(parts) -> SignedIndexResult:
 def straighten_Y_code(parts) -> SignedIndexResult:
     """Straighten a strict-side index by code-word rewriting (the Q exchange rule)."""
     out = straighten_code_trace(encode_code(parts), "q")
-    if out is not None and any(a == b for a, b in zip(out[1], out[1][1:])):
-        return ZERO  # equal adjacent rows annihilate
+    if out is not None and len(set(out[1])) < len(out[1]):
+        return ZERO  # equal adjacent rows annihilate (the rows are checked sorted)
     return _signed(out)
 
 
@@ -158,8 +158,7 @@ def q_series_i_form(lam, i_max: int) -> list[QSeriesTerm]:
     """
     lam = _validated_strict(lam)
     i_max = check_int(i_max, "i_max", 0, SERIES_MAX)
-    runs, make = _encode(ShiftedCodeWord, lam).runs, QSeriesTerm._make
     # n = i + b is at most i_max + len(lam), so the walk runs to i_max
     return _series(
-        runs, 1, 0, i_max, i_max + len(lam), lambda i, n, j, index: make(n, j, i, j, index)
+        _encode(ShiftedCodeWord, lam).runs, 1, 0, i_max, i_max + len(lam), QSeriesTerm._make
     )

@@ -181,3 +181,30 @@ def test_series_walk_refuses_a_new_row_out_of_place(monkeypatch, shift):
     monkeypatch.setattr(codes, "_rows", lambda runs, shift=0: real(runs, shift)[::-1])
     with pytest.raises(codes.InternalInvariantError, match="series term off at i=2"):
         codes._series((1, 2, 0), shift, 0, 8, 99, lambda *term: term)
+
+
+@pytest.mark.parametrize(
+    "rows, shift",
+    [
+        ((1, 3), 0),  # out of order
+        ((2, 3, 1), 0),
+        ((3, 3), 1),  # equal rows of a shifted word
+        ((4, 2, 2), 1),
+        ((2, -1), 0),  # bottom row below the shift
+        ((2, 0), 1),
+        ((-1,), 0),
+    ],
+)
+def test_the_straight_check_refuses_rows_out_of_order(rows, shift):
+    with pytest.raises(codes.InternalInvariantError, match="broke row count, total or order"):
+        codes._check_straight(rows, rows, shift, "word")
+
+
+@pytest.mark.parametrize(
+    "rows, shift", [((), 0), ((), 1), ((0,), 0), ((2, 2, 0), 0), ((3, 1), 1), ((5, 4, 1), 1)]
+)
+def test_the_straight_check_takes_straight_rows(rows, shift):
+    codes._check_straight(rows, rows, shift, "word")
+    for start in (rows + (0,), (sum(rows) + 1,) + rows[1:]):  # row count, total
+        with pytest.raises(codes.InternalInvariantError):
+            codes._check_straight(start, rows, shift, "word")

@@ -7,6 +7,8 @@ import itertools
 import json
 import pickle
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -177,6 +179,17 @@ def test_classify_sorted_never_general():
         assert core.classify(tuple(sorted(mu, reverse=True))) != "general"
 
 
+def test_partition_checks_match_their_definitions():
+    # decreasing to a nonnegative last entry is every entry nonnegative
+    for parts in itertools.chain.from_iterable(
+        itertools.product(range(-2, 5), repeat=length) for length in range(6)
+    ):
+        pairs = list(zip(parts, parts[1:]))
+        nonnegative = all(p >= 0 for p in parts)
+        assert core.is_partition(parts) == (nonnegative and all(a >= b for a, b in pairs))
+        assert core.is_strict_partition(parts) == (nonnegative and all(a > b for a, b in pairs))
+
+
 def test_canonical_json_is_stable():
     blob = {"b": [1, 2], "a": {"zero": True}}
     out = core.canonical_json(blob)
@@ -200,15 +213,34 @@ CANONICAL_CASES = [
 ]
 
 
+def _counted(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls; return the count."""
+    calls = [0]
+    inner = getattr(owner, name)
+
+    def wrapper(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
 @pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "python-encoder"])
 def test_canonical_json_matches_json_dumps(monkeypatch, c_encoder):
+    core.canonical_json(None)  # json and the encoders are loaded
     if not c_encoder:
         monkeypatch.setattr(json.encoder, "c_make_encoder", None)
     elif json.encoder.c_make_encoder is None:
         pytest.skip("this Python's json has no C encoder")
+    stateless = _counted(monkeypatch, core, "_STATELESS")
+    python_path = _counted(monkeypatch, core._CANONICAL, "encode")
     for value in CANONICAL_CASES:
         expected = json.dumps(value, sort_keys=True, separators=(",", ":"))
         assert core.canonical_json(value) == expected, value
+    # each case ran on one path only: the cached C encoder or the Python encoder
+    ran, idle = (stateless, python_path) if c_encoder else (python_path, stateless)
+    assert (ran[0], idle[0]) == (len(CANONICAL_CASES), 0)
 
     loop: list = [1]
     loop.append(loop)
@@ -224,6 +256,62 @@ def test_canonical_json_matches_json_dumps(monkeypatch, c_encoder):
             json.dumps(value, sort_keys=True, separators=(",", ":"))
         with pytest.raises(TypeError, match=f"^{re.escape(str(want.value))}$"):
             core.canonical_json(value)
+
+
+@pytest.mark.parametrize("depth", [5_000, 100_000])
+def test_canonical_json_nesting_past_the_limit_raises_as_json_dumps(depth):
+    # the marker-free pass runs at this limit, and a RecursionError from it is
+    # not taken for a cycle: the marked pass raises it again, as json.dumps
+    # does.  Python 3.10-3.12 stop 5,000 levels at the default limit, 3.13 only
+    # past its C recursion limit; every one of them stops 100,000.
+    assert sys.getrecursionlimit() <= core._STATELESS_DEPTH
+    deep: list = []
+    for _ in range(depth):
+        deep = [deep]
+    try:
+        expected = json.dumps(deep, sort_keys=True, separators=(",", ":"))
+    except RecursionError:
+        with pytest.raises(RecursionError):
+            core.canonical_json(deep)
+    else:
+        assert depth < 100_000
+        assert core.canonical_json(deep) == expected
+    assert core.canonical_json([[[]]]) == "[[[]]]"
+
+
+def test_canonical_json_above_the_guard_runs_only_the_marked_encoder(monkeypatch):
+    core.canonical_json(None)  # json and the encoders are loaded
+    stateless = _counted(monkeypatch, core, "_STATELESS")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(core._STATELESS_DEPTH + 1)
+    try:
+        assert core.canonical_json({"b": [1], "a": None}) == '{"a":null,"b":[1]}'
+    finally:
+        sys.setrecursionlimit(limit)
+    assert stateless[0] == 0
+    assert core.canonical_json({"b": [1], "a": None}) == '{"a":null,"b":[1]}'
+    assert stateless[0] == 1
+
+
+@pytest.mark.parametrize("limit", [1_000, 10_000, 50_000, 200_000])
+def test_a_cycle_raises_value_error_at_any_recursion_limit(limit):
+    # Python 3.10 and 3.11 bound the C encoder's depth only by the recursion
+    # limit, so a cycle in a marker-free pass at 200,000 overflowed the C
+    # stack of 3.11.7; a fresh process shows a crash as an exit code
+    script = (
+        f"import sys; sys.setrecursionlimit({limit})\n"
+        "from codecalc.core import canonical_json\n"
+        "loop = [1]; loop.append(loop); looped = {}; looped['self'] = looped\n"
+        "for value in (loop, looped, [loop], {'k': looped}):\n"
+        "    try:\n"
+        "        canonical_json(value)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+        "print(canonical_json([loop[0]]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "Circular reference detected\n" * 4 + "[1]\n"
 
 
 # One value of each value type, with its repr as the frozen dataclasses printed it.

@@ -351,3 +351,33 @@ def test_cli_exit_contract(argv):
     ns = cli._match(cli._TABLES[argv[0]], argv[1:])
     if ns is not None:
         assert {**vars(ns), "command": argv[0]} == vars(parser.parse_args(argv))
+
+
+# JSON-like values: every scalar json encodes (floats with nan and inf, ints
+# past 64 bits, text with escapes and astral characters), nested in lists,
+# tuples and dicts whose keys are all str or all int (sort_keys refuses a mix)
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.floats()
+    | st.text()
+    | st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "é雪\U0001f600", ""])
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=4), children, max_size=4)
+        | st.dictionaries(st.integers(), children, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+@_SETTINGS
+@given(json_values)
+def test_canonical_json_is_json_dumps_sorted_and_compact(value):
+    assert canonical_json(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
