@@ -15,10 +15,13 @@ negative).  Its letters are a view, rendered on first read.
 
 Straightening rewrites a word containing L's (rows out of order) into either
 the zero result or a signed word without L's (a partition), by repeatedly
-exchanging the leftmost L-run with a letter to its left.  One loop applies the
-step of every rule in ``RULES``; the straighteners sum it, and verify checks
-the word of each step.  The plain, shifted and Q steps rewrite runs, at O(rows)
-a step whatever the parts; the reading step reads letters, maybe unreduced.
+exchanging the leftmost L-run with a letter to its left.  One loop drives
+every rule in ``RULES``: the rule's find gives the index j of the leftmost
+L-run, resuming where the last step was, since a step leaves no L left of it;
+the rule's step rewrites the word at j into None (annihilation) or its sign
+exponent and new word.  The straighteners sum it, and verify checks the word
+of each step.  The plain, shifted and Q steps rewrite runs, at O(rows) a step
+whatever the parts; the reading step reads letters, maybe unreduced.
 
 A shifted word (Schur-Q side, strict indexes with positive rows) is the same
 kind of word read with its rows offset by a staircase: the k-th U from the
@@ -251,34 +254,35 @@ def _exchanged(runs, i: int, left: int, right: int, j: int, rest: int):
     return runs[:i] + (left, right) + runs[i + 1 : j] + merged
 
 
-def _exchange_step(runs, shift: int):
+def _l_run(runs, start: int) -> int:
+    """Index of the leftmost L-run (negative run) at or after ``start``, or -1."""
+    for j in range(start, len(runs)):
+        if runs[j] < 0:
+            return j
+    return -1
+
+
+def _exchange_step(runs, j: int):
     """One straightening exchange at the leftmost L-run: run j, of k L's.
 
     The letter k positions left of the run is examined, walking left over
     each run i's d R's and its closing U.  A U there annihilates the whole
-    product, and so does a walk past a plain word, into its U-prefix (the
-    action ``bernstein.bn_action`` at a degree below -len(lam)); past a
-    shifted word (``shift`` 1) the run is an invalid word.  An R there becomes
-    a U, splitting run i, and the sign picks up one flip per U strictly
-    between that letter and the run: j - i.  The run keeps k - 1 L's.
+    product, and so does a walk past the word's start, into its U-prefix (the
+    action ``bernstein.bn_action`` at a degree below -len(lam)); no valid
+    shifted word walks that far.  An R there becomes a U, splitting run i,
+    and the sign picks up one flip per U strictly between that letter and the
+    run: j - i.  The run keeps k - 1 L's.
     """
-    for j, d in enumerate(runs):
-        if d < 0:
-            break
-    else:
-        return 0, runs
-    k = m = -d
+    k = m = -runs[j]
     for i in range(j - 1, -1, -1):
         d = runs[i]
         if m <= d + 1:
             return None if m == 1 else (j - i, _exchanged(runs, i, d - m + 1, m - 2, j, 1 - k))
         m -= d + 1
-    if not shift:
-        return None
-    raise InvalidCodeError(f"run of {k} L's reaches past the start of {_render(runs)!r}")
+    return None
 
 
-def _q_exchange_step(runs, shift: int):
+def _q_exchange_step(runs, j: int):
     """One strict-index (Q) exchange at the leftmost L-run (run j, of k L's)
     of a plain word.
 
@@ -288,12 +292,7 @@ def _q_exchange_step(runs, shift: int):
     the run keeps all k L's, and the U that closed the run is dropped.  The
     sign flips once per U passed: j - i.
     """
-    for j, d in enumerate(runs):
-        if d < 0:
-            break
-    else:
-        return 0, runs
-    k = m = -d
+    k = m = -runs[j]
     for i in range(j - 1, -1, -1):
         d = runs[i]
         if m <= d:
@@ -320,8 +319,9 @@ def _check_straight(start: Composition, rows: Composition, shift: int, word) -> 
         raise InternalInvariantError(f"straightening broke row count, total or order: {word!r}")
 
 
-def _reading_step(word: str, shift: int):
-    """One reading pass from the leftmost L of a plain, maybe unreduced word.
+def _reading_step(word: str, r: int):
+    """One reading pass from the leftmost L of a plain, maybe unreduced word,
+    at letter r.
 
     The letters from that L on are read and dropped (R's past the word),
     while a cursor tracks the net position until it is back at the reading
@@ -330,9 +330,7 @@ def _reading_step(word: str, shift: int):
     between them.  The cursor stays in the prefix left of the first L, which
     holds only R's and U's, so only that prefix is rewritten.
     """
-    r = c = word.find("L")
-    if r < 0:
-        return 0, word
+    c = r
     prefix = word[:r]
     exponent = 0
     for i in range(r, len(word)):
@@ -348,36 +346,37 @@ def _reading_step(word: str, shift: int):
     return exponent, prefix  # the R-tail brings the cursor back
 
 
-# rule name -> (word type, step).  A step(word, the type's shift) rewrites the
-# leftmost L-run: it returns None on annihilation, else (sign exponent, new
-# word), and (0, word) with the very same word once no L is left.  The word is
-# its runs (a tuple), except for the reading rule, which reads letters (a str)
-# that may be unreduced.
+# rule name -> (word type, find, step).  find(word, start) is the index of the
+# leftmost L-run (a run) or L (a letter) at or after start, or -1; step(word,
+# j) rewrites the word at that index j and returns None on annihilation, else
+# (sign exponent, new word).  The word is its runs (a tuple), except for the
+# reading rule, which reads letters (a str) that may be unreduced.
 RULES = {
-    "plain": (CodeWord, _exchange_step),
-    "shifted": (ShiftedCodeWord, _exchange_step),
-    "q": (CodeWord, _q_exchange_step),
-    "reading": (CodeWord, _reading_step),
+    "plain": (CodeWord, _l_run, _exchange_step),
+    "shifted": (ShiftedCodeWord, _l_run, _exchange_step),
+    "q": (CodeWord, _l_run, _q_exchange_step),
+    "reading": (CodeWord, lambda letters, start: letters.find("L", start), _reading_step),
 }
 
 
 def _sum_exchanges(word, rule: str, on_step=None):
     """The one exchange loop: apply ``rule``'s step until no L remains.
 
-    Returns None on annihilation, else (total sign exponent, final rows), the
-    final word checked once.  ``on_step``, when given, sees each new word; a
-    true return stops the loop, which then returns None.
+    Each search resumes at the last step's index: a step leaves no L left of
+    it.  Returns None on annihilation, else (total sign exponent, final rows),
+    the final word checked once.  ``on_step``, when given, sees each step's
+    (sign exponent, new word); a true return stops the loop, which then
+    returns None.
     """
-    cls, step = RULES[rule]
+    cls, find, step = RULES[rule]
     shift = cls.shift
-    state, total = word, 0
-    while (out := step(state, shift)) is not None and out[1] is not state:
-        if on_step is not None and on_step(out[1]):
+    state, total, at = word, 0, 0
+    while (at := find(state, at)) >= 0:
+        out = step(state, at)
+        if out is None or (on_step is not None and on_step(*out)):
             return None
         total += out[0]
         state = out[1]
-    if out is None:
-        return None
     start = _rows(word, shift)
     if state is word:
         return 0, start  # already straight

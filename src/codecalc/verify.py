@@ -100,7 +100,7 @@ def _replay(letters: str, rule: str):
     nrows, size = len(rows), sum(rows)
     steps, bad = 0, None
 
-    def check(runs) -> bool:
+    def check(exponent: int, runs) -> bool:
         nonlocal steps, bad
         steps += 1
         rows = codes._rows(runs, shift)

@@ -41,13 +41,13 @@ def test_bn_action_matches_straighten():
 def test_bn_action_is_guarded_by_the_exchange_loop(monkeypatch):
     # the action runs the plain rule of codes.RULES, so a step that adds an
     # empty top row is caught by the loop's final row-count check
-    word_type, step = codes.RULES["plain"]
+    word_type, find, step = codes.RULES["plain"]
 
-    def extra_row(word, shift):
-        out = step(word, shift)
-        return out if out is None or out[1] is word else (out[0], out[1] + (0,))
+    def extra_row(word, j):
+        out = step(word, j)
+        return out and (out[0], out[1] + (0,))
 
-    monkeypatch.setitem(codes.RULES, "plain", (word_type, extra_row))
+    monkeypatch.setitem(codes.RULES, "plain", (word_type, find, extra_row))
     with pytest.raises(InternalInvariantError):
         bernstein.bn_action(1, (3, 1))
 

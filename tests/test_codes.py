@@ -171,6 +171,64 @@ def test_step_count_bounded_by_trailing_u_count():
             assert bad is None and steps <= bound, mu
 
 
+def _rule_words(rule):
+    """The words ``rule``'s step takes, one per composition with parts <= 6
+    and length <= 5 (positive parts for the shifted rule), with its index."""
+    for mu in verify.compositions(6, 5):
+        if rule == "shifted":
+            if all(mu):
+                yield mu, shifted.encode_shifted(mu).runs
+        else:
+            word = codes.encode_code(mu)
+            yield mu, word.letters if rule == "reading" else word.runs
+
+
+@pytest.mark.parametrize("rule", sorted(codes.RULES))
+def test_the_resumed_scan_finds_what_a_fresh_scan_finds(monkeypatch, rule):
+    # the loop resumes each search at the last step's index: no L may sit
+    # left of it, so a search from the word's start finds the same one
+    word_type, find, step = codes.RULES[rule]
+    resumed = 0
+
+    def checked_find(word, start):
+        nonlocal resumed
+        resumed += start > 0
+        assert find(word, start) == find(word, 0), (word, start)
+        return find(word, start)
+
+    words = [word for _, word in _rule_words(rule)]
+    if rule == "reading":  # it also takes unreduced words, where an L can follow at once
+        words += ["".join(w) for n in range(8) for w in itertools.product("RLU", repeat=n)]
+    monkeypatch.setitem(codes.RULES, rule, (word_type, checked_find, step))
+    for word in words:
+        codes._sum_exchanges(word, rule)
+    assert resumed
+
+
+# the sign exponent the exchange loop sums, as a count: the pairs i < j with
+# values[i] < values[j] among the values the rule sorts (the plain rule's
+# shifted exponents, the Q and shifted rules' rows).  oracle._signed_sort
+# counts them; keyed by (value, -position), equal values stay as they stand,
+# as the Q rule keeps equal rows.
+SORTED_VALUES = {
+    "plain": lambda mu: [p + s for p, s in zip(mu, oracle.staircase(len(mu)))],
+    "q": list,
+    "shifted": list,
+}
+
+
+@pytest.mark.parametrize("rule", sorted(SORTED_VALUES))
+def test_the_sign_exponent_counts_the_pairs_out_of_order(rule):
+    for mu, word in _rule_words(rule):
+        out = codes._sum_exchanges(word, rule)
+        values = SORTED_VALUES[rule](mu)
+        if out is None:  # every rule annihilates only on a repeated value
+            assert oracle._signed_sort(values) is None, mu
+        else:
+            keyed = [(v, -k) for k, v in enumerate(values)]
+            assert out[0] == oracle._signed_sort(keyed)[0], mu
+
+
 @pytest.mark.parametrize("shift", [0, 1], ids=["plain", "shifted"])
 def test_series_walk_refuses_a_new_row_out_of_place(monkeypatch, shift):
     # The walk stops at the run whose rows straddle the i-th R, so on the rows

@@ -173,8 +173,8 @@ def test_every_rule_step_keeps_its_state_type(rule):
     @_SETTINGS
     @given(RULE_WORDS[rule])
     def steps(word):
-        def check(new):
-            assert type(new) is type(word)
+        def check(exponent, new):
+            assert type(exponent) is int and type(new) is type(word)
             if rule == "reading":
                 assert set(new) <= codes.ALPHABET
             else:

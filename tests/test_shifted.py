@@ -114,11 +114,11 @@ def test_preshift_rejects_zero_rows():
 def _step_trace(runs, rule):
     """Each step of ``rule`` from ``runs``: (sign exponent mod 2, rows), and
     whether the loop ended by annihilating."""
-    cls, step = codes.RULES[rule]
+    shift = codes.RULES[rule][0].shift
     steps = []
-    while (out := step(runs, cls.shift)) is not None and out[1] is not runs:
-        runs = out[1]
-        steps.append((out[0] % 2, codes._rows(runs, cls.shift)))
+    out = codes._sum_exchanges(
+        runs, rule, lambda exponent, new: steps.append((exponent % 2, codes._rows(new, shift)))
+    )
     return steps, out is None
 
 

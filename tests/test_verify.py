@@ -29,19 +29,18 @@ def _shift_i(real):
 
 
 def _extra_row(real):
-    # a step on runs that adds an empty top row; a straight word still comes
-    # back as itself, which is what ends the loop
-    def step(word, shift):
-        out = real(word, shift)
-        return out if out is None or out[1] is word else (out[0], out[1] + (0,))
+    # a step on runs that adds an empty top row
+    def step(word, j):
+        out = real(word, j)
+        return out and (out[0], out[1] + (0,))
 
     return step
 
 
 def _flip_sign(real):
-    def step(word, shift):
-        out = real(word, shift)
-        return out if out is None or out[1] is word else (out[0] + 1, out[1])
+    def step(word, j):
+        out = real(word, j)
+        return out and (out[0] + 1, out[1])
 
     return step
 
@@ -157,8 +156,8 @@ def test_suite_reports_broken_rule(monkeypatch, rule, breaker, suite, op, straig
     # the sweeps and the library run the same loop: a broken step shows in both
     assert suite(3, 3).ok
     before = _outcome(straighten, (1, 3))
-    word_type, step = codes.RULES[rule]
-    monkeypatch.setitem(codes.RULES, rule, (word_type, breaker(step)))
+    word_type, find, step = codes.RULES[rule]
+    monkeypatch.setitem(codes.RULES, rule, (word_type, find, breaker(step)))
     assert _outcome(straighten, (1, 3)) != before
     report = suite(3, 3)
     failed = {(f["input"].get("op"), f["input"].get("rule")) for f in report.failures}
@@ -272,8 +271,8 @@ def test_a_memory_error_still_ends_verify_with_the_error_line(monkeypatch, capsy
 
 
 def test_replay_reports_first_bad_step(monkeypatch):
-    word_type, step = codes.RULES["plain"]
-    monkeypatch.setitem(codes.RULES, "plain", (word_type, _extra_row(step)))
+    word_type, find, step = codes.RULES["plain"]
+    monkeypatch.setitem(codes.RULES, "plain", (word_type, find, _extra_row(step)))
     letters = codes.encode_code((1, 3, 1, 6, 2)).letters
     steps, bad = verify._replay(letters, "plain")
     assert steps == 1 and bad["step"] == 1
