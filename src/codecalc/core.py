@@ -9,9 +9,11 @@ from operator import ge, gt
 
 Composition = tuple[int, ...]
 
-# json and the encoders below, set on canonical_json's first call, so that
-# text output never imports json
-json = _CANONICAL = _SETTINGS = _STATELESS = None
+# The encoders below, set on canonical_json's first call.  They come from the
+# C module _json alone, so text output loads no JSON module and JSON output
+# does not load the json package, which would bring in its decoder and the
+# Python encoder; json loads only where _json is missing.
+_MARKED = _STATELESS = None
 
 # Highest recursion limit at which canonical_json runs the marker-free encoder.
 # That encoder finds a cycle only by running into the recursion limit, and on
@@ -20,20 +22,29 @@ json = _CANONICAL = _SETTINGS = _STATELESS = None
 _STATELESS_DEPTH = 10_000
 
 
-def _load_json() -> None:
-    global json, _CANONICAL, _SETTINGS, _STATELESS
-    import json
+def _not_serializable(obj):
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
-    # json.dumps builds a new encoder on every call once it gets non-default
-    # arguments, and JSONEncoder.encode builds its C encoder anew on every call.
-    _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-    # what JSONEncoder.iterencode hands the C encoder for _CANONICAL, markers aside
-    _SETTINGS = (
-        _CANONICAL.default, json.encoder.encode_basestring_ascii, None, ":", ",", True, False, True
-    )
-    make = json.encoder.c_make_encoder
+
+def _load_json() -> None:
+    global _MARKED, _STATELESS
+    try:
+        from _json import encode_basestring_ascii, make_encoder
+    except ImportError:  # no C accelerator: json's own Python encoder
+        import json
+
+        _MARKED = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        return
+    # what JSONEncoder(sort_keys=True, separators=(",", ":")).iterencode hands
+    # the C encoder, markers aside; the default raises as JSONEncoder.default
+    settings = (_not_serializable, encode_basestring_ascii, None, ":", ",", True, False, True)
+
+    def marked(obj) -> str:  # fresh markers: cycles raise ValueError
+        return "".join(make_encoder({}, *settings)(obj, 0))
+
+    _MARKED = marked
     # no markers: it keeps no state between calls, so one serves every call
-    _STATELESS = make and make(None, *_SETTINGS)
+    _STATELESS = make_encoder(None, *settings)
 
 
 def canonical_json(obj) -> str:
@@ -41,17 +52,14 @@ def canonical_json(obj) -> str:
 
     Canonical output round-trips byte-identically through json.loads.
     """
-    if _SETTINGS is None:
+    if _MARKED is None:
         _load_json()
-    make = json.encoder.c_make_encoder
-    if make is None:  # no C accelerator: the encoder's own Python path
-        return _CANONICAL.encode(obj)
     if _STATELESS is not None and sys.getrecursionlimit() <= _STATELESS_DEPTH:
         try:
             return "".join(_STATELESS(obj, 0))
         except RecursionError:
             pass  # a cycle or nesting past the limit: the marked pass says which
-    return "".join(make({}, *_SETTINGS)(obj, 0))  # fresh markers: cycles raise ValueError
+    return _MARKED(obj)
 
 
 class CalcError(Exception):

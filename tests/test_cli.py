@@ -442,6 +442,8 @@ def test_cold_bench_start_imports_only_core_and_codes():
         "codecalc.codes",
     }
     assert not new & {"dataclasses", "inspect"}
+    # the JSON answer runs on the C encoder alone, not on the json package
+    assert "_json" in new and not new & JSON_PACKAGE
 
 
 def _cli_start(*argv):
@@ -458,6 +460,8 @@ def _cli_start(*argv):
 
 # the modules of the routes a plain B straighten does not run
 ROUTE_MODULES = {"codecalc.bernstein", "codecalc.oracle", "codecalc.qvertex", "codecalc.shifted"}
+# the json package; JSON output needs only its C module, _json
+JSON_PACKAGE = {"json", "json.decoder", "json.encoder", "json.scanner"}
 
 
 def test_cli_start_imports_neither_dataclasses_nor_verify():
@@ -466,7 +470,7 @@ def test_cli_start_imports_neither_dataclasses_nor_verify():
     assert "codecalc.cli" in new
     assert not new & {"dataclasses", "inspect", "codecalc.verify"}
     # a plain argv is answered from its table, and text output needs no json
-    assert not new & {"argparse", "json", *ROUTE_MODULES}
+    assert not new & {"argparse", "_json", *JSON_PACKAGE, *ROUTE_MODULES}
 
 
 @pytest.mark.parametrize(
@@ -475,44 +479,44 @@ def test_cli_start_imports_neither_dataclasses_nor_verify():
         (
             ("straighten", "--algebra", "b", "--format", "json", "1,3"),
             ['{"index":[2,2],"sign":-1}'],
-            {"json"},
-            {"argparse", *ROUTE_MODULES},
+            {"_json"},
+            {"argparse", *JSON_PACKAGE, *ROUTE_MODULES},
         ),
         (
             ("act", "--algebra", "q", "-n", "2", "--index", "3"),
             ["-1 * Q[3,2]"],
             {"codecalc.qvertex"},
-            {"argparse", "json", "codecalc.bernstein"},
+            {"argparse", "_json", "json", "codecalc.bernstein"},
         ),
         (
             ("act", "--algebra", "b", "-n", "1", "--index", "2"),
             ["0"],
             {"codecalc.bernstein"},
-            {"argparse", "json", *ROUTE_MODULES - {"codecalc.bernstein"}},
+            {"argparse", "_json", "json", *ROUTE_MODULES - {"codecalc.bernstein"}},
         ),
         (
             ("series", "--algebra", "b", "--index", "1", "--i-max", "2"),
             ["-t^-1 * B[0,0]", "+t^1 * B[1,1]"],
             {"codecalc.bernstein"},
-            {"argparse", "json", *ROUTE_MODULES - {"codecalc.bernstein"}},
+            {"argparse", "_json", "json", *ROUTE_MODULES - {"codecalc.bernstein"}},
         ),
         (
             ("straighten", "--algebra", "b", "--method", "oracle", "1,3"),
             ["-1 * B[2,2]"],
             {"codecalc.oracle"},
-            {"argparse", "json", "codecalc.codes", *ROUTE_MODULES - {"codecalc.oracle"}},
+            {"argparse", "_json", "json", "codecalc.codes", *ROUTE_MODULES - {"codecalc.oracle"}},
         ),
         (
             ("straighten", "--algebra", "q", "--method", "code", "2,3"),
             ["-1 * Q[3,2]"],
             {"codecalc.qvertex", "codecalc.oracle"},
-            {"argparse", "json", "codecalc.bernstein", "codecalc.shifted"},
+            {"argparse", "_json", "json", "codecalc.bernstein", "codecalc.shifted"},
         ),
         (
             ("code", "--shifted", "--index", "3,1"),
             ["URU"],
             {"codecalc.shifted", "codecalc.qvertex", "codecalc.oracle"},
-            {"argparse", "json", "codecalc.bernstein"},
+            {"argparse", "_json", "json", "codecalc.bernstein"},
         ),
     ],
     ids=[

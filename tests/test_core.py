@@ -9,6 +9,7 @@ import pickle
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -226,20 +227,20 @@ def _counted(monkeypatch, owner, name):
     return calls
 
 
-@pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "python-encoder"])
-def test_canonical_json_matches_json_dumps(monkeypatch, c_encoder):
-    core.canonical_json(None)  # json and the encoders are loaded
-    if not c_encoder:
-        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-    elif json.encoder.c_make_encoder is None:
-        pytest.skip("this Python's json has no C encoder")
-    stateless = _counted(monkeypatch, core, "_STATELESS")
-    python_path = _counted(monkeypatch, core._CANONICAL, "encode")
+def _canonical_json_matches_json_dumps(monkeypatch, c_encoder):
+    """The checks of test_canonical_json_matches_json_dumps, on the encoder
+    path this interpreter's canonical_json took at load."""
+    core.canonical_json(None)  # the encoders are loaded
+    # the path: the C encoder from _json, or json's Python encoder without it
+    assert (core._STATELESS is not None) == c_encoder
+    assert (json.encoder.c_make_encoder is not None) == c_encoder
+    stateless = _counted(monkeypatch, core, "_STATELESS") if c_encoder else [0]
+    marked = _counted(monkeypatch, core, "_MARKED")
     for value in CANONICAL_CASES:
         expected = json.dumps(value, sort_keys=True, separators=(",", ":"))
         assert core.canonical_json(value) == expected, value
     # each case ran on one path only: the cached C encoder or the Python encoder
-    ran, idle = (stateless, python_path) if c_encoder else (python_path, stateless)
+    ran, idle = (stateless, marked) if c_encoder else (marked, stateless)
     assert (ran[0], idle[0]) == (len(CANONICAL_CASES), 0)
 
     loop: list = [1]
@@ -256,6 +257,27 @@ def test_canonical_json_matches_json_dumps(monkeypatch, c_encoder):
             json.dumps(value, sort_keys=True, separators=(",", ":"))
         with pytest.raises(TypeError, match=f"^{re.escape(str(want.value))}$"):
             core.canonical_json(value)
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "python-encoder"])
+def test_canonical_json_matches_json_dumps(monkeypatch, c_encoder):
+    if c_encoder:
+        if json.encoder.c_make_encoder is None:
+            pytest.skip("this Python's json has no C encoder")
+        _canonical_json_matches_json_dumps(monkeypatch, c_encoder)
+        return
+    # the path is chosen when the encoders load, so the Python encoder runs in
+    # a fresh interpreter that cannot import _json, json.dumps included
+    script = (
+        "import sys\n"
+        "sys.modules['_json'] = None\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+        "import pytest, test_core\n"
+        "with pytest.MonkeyPatch.context() as patch:\n"
+        "    test_core._canonical_json_matches_json_dumps(patch, c_encoder=False)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("depth", [5_000, 100_000])
