@@ -6,8 +6,9 @@ straightened word either vanishes, is (n,) + lam itself, or (for small n) turns
 one R into a U.  The series expansion of the operator product is indexed by
 i >= 1 via the sup-indexes lambda^(i): term i turns the i-th R into a U, in
 one walk of the word (``codes._series``) that the Schur-Q i-form shares.  Every
-route here reads the word's runs (``codes.CodeWord.runs``), so a call or a
-series term costs O(rows) whatever the parts.
+route here reads the runs of the partition it validated (``codes._index_runs``)
+and builds no word, so a call or a series term costs O(rows) whatever the
+parts.
 """
 
 from functools import partial
@@ -24,7 +25,7 @@ from .core import (
     is_partition,
     validate_composition,
 )
-from .codes import _replace_ith_r, _rows, _series, _signed, _sum_exchanges, encode_code
+from .codes import _index_runs, _replace_ith_r, _rows, _series, _signed, _sum_exchanges
 
 
 def _validated_partition(parts) -> Composition:
@@ -47,7 +48,7 @@ def bn_action(n: int, lam) -> SignedIndexResult:
     lam = _validated_partition(lam)
     n = check_int(n, "degree")
     top = lam[0] if lam else 0
-    return _signed(_sum_exchanges(encode_code(lam).runs + (n - top,), "plain"))
+    return _signed(_sum_exchanges(_index_runs(lam) + (n - top,), "plain"))
 
 
 def lambda_sup(lam, i: int) -> Composition:
@@ -60,7 +61,7 @@ def lambda_sup(lam, i: int) -> Composition:
     """
     lam = _validated_partition(lam)
     i = check_int(i, "sup-index position", 1)
-    return _rows(_replace_ith_r(encode_code(lam).runs, i))
+    return _rows(_replace_ith_r(_index_runs(lam), i))
 
 
 def r_index(lam, i: int) -> int:
@@ -70,7 +71,7 @@ def r_index(lam, i: int) -> int:
     i = check_int(i, "row position", 1)
     if i > len(lam):
         return 0
-    return sum(encode_code(lam).runs[: len(lam) - i + 1])
+    return sum(_index_runs(lam)[: len(lam) - i + 1])
 
 
 class SeriesTerm(_Value):
@@ -115,7 +116,7 @@ def bernstein_series(lam, i_max: int) -> list[SeriesTerm]:
     lam = _validated_partition(lam)
     i_max = check_int(i_max, "i_max", 0, SERIES_MAX)
     # every t-exponent is below i, so t_max = i_max cuts no term
-    return _series(encode_code(lam).runs, 0, 1, i_max, i_max, _schur_term)
+    return _series(_index_runs(lam), 0, 1, i_max, i_max, _schur_term)
 
 
 def bernstein_series_window(lam, n_max: int) -> list[SeriesTerm]:
@@ -129,4 +130,4 @@ def bernstein_series_window(lam, n_max: int) -> list[SeriesTerm]:
     """
     lam = _validated_partition(lam)
     n_max = check_int(n_max, "n_max", None, SERIES_MAX)
-    return _series(encode_code(lam).runs, 0, 1, n_max + 1 + len(lam), n_max, _schur_term)
+    return _series(_index_runs(lam), 0, 1, n_max + 1 + len(lam), n_max, _schur_term)

@@ -9,9 +9,11 @@ as neighbours; U never cancels.  The finite word of an index with rows
 and ends with a U whenever it is nonempty.  Leading U's encode zero rows, so
 distinct indexes always get distinct words.
 
-A reduced word's U-segments are each all R's or all L's, so a word is stored
-as its runs: the net move before each U, bottom-up (R's positive, L's
-negative).  Its letters are a view, rendered on first read.
+A reduced word's U-segments are each all R's or all L's, so a word is its
+runs: the net move before each U, bottom-up (R's positive, L's negative).
+Its letters are a view, rendered on each read; the routes of ``bernstein``
+and ``qvertex`` read the runs of an index they validated (``_index_runs``)
+and build no word at all.
 
 Straightening rewrites a word containing L's (rows out of order) into either
 the zero result or a signed word without L's (a partition), by repeatedly
@@ -103,12 +105,12 @@ def _rows(word, shift: int = 0) -> Composition:
 class CodeWord(_Value):
     """A reduced finite code word whose rows are all at least ``shift``.
 
-    ``runs`` is the net move before each U, bottom-up; ``letters`` renders them
-    on first read.  ``shift`` is 0 here (plain words, rows >= 0);
-    ShiftedCodeWord sets it to 1.
+    ``runs``, the net move before each U, bottom-up, is the whole word;
+    ``letters`` renders them on each read.  ``shift`` is 0 here (plain words,
+    rows >= 0); ShiftedCodeWord sets it to 1.
     """
 
-    __slots__ = ("runs", "_letters")
+    __slots__ = ("runs",)
     __match_args__ = ("letters",)
     shift = 0  # class constant, not a field
 
@@ -129,14 +131,11 @@ class CodeWord(_Value):
             below = "has a row below 1" if self.shift else "has a negative row"
             raise InvalidCodeError(f"word {w!r} {below}")
         object.__setattr__(self, "runs", runs)
-        object.__setattr__(self, "_letters", w)
 
     @property
     def letters(self) -> str:
-        """The word's letters, rendered from its runs on first read."""
-        if self._letters is None:
-            object.__setattr__(self, "_letters", _render(self.runs))
-        return self._letters
+        """The word's letters, rendered from its runs on each read."""
+        return _render(self.runs)
 
     @property
     def rows(self) -> int:
@@ -154,16 +153,6 @@ class ShiftedCodeWord(CodeWord):
     shift = 1
 
 
-def _built(cls, runs):
-    """Wrap the runs of a word this package built itself through ``cls._make``,
-    skipping ``cls``'s validation; its letters render on first read.
-
-    Only for words valid by construction; verify re-validates every encoder's
-    output through the public constructor.
-    """
-    return cls._make(runs, None)
-
-
 def _as_word(cls, word):
     """``word`` itself when it is a ``cls`` word of ``cls``'s style (its
     ``shift``), such as a PreshiftedWord handed to the shifted routes.
@@ -176,12 +165,21 @@ def _as_word(cls, word):
     return cls(word.letters if isinstance(word, CodeWord) else word)
 
 
+def _index_runs(parts: Composition, shift: int = 0) -> tuple[int, ...]:
+    """Runs of the word of an index validated as exact ints >= ``shift``:
+    bottom-up, the bottom row moves m_l - shift and each higher row
+    m_i - m_{i+1} - shift."""
+    up = parts[::-1]
+    runs = map(sub, up, (0,) + up)
+    return tuple(map(sub, runs, repeat(shift)) if shift else runs)
+
+
 def _encode(cls, parts: Composition):
-    """The ``cls`` word of an index with rows >= ``cls.shift``: bottom-up, the
-    bottom row moves m_l - shift and each higher row m_i - m_{i+1} - shift."""
+    """The ``cls`` word of an index with rows >= ``cls.shift``.  It skips
+    ``cls``'s validation: its runs are valid by construction, and verify
+    re-validates every encoder's letters through the public constructor."""
     s = cls.shift
-    parts = validate_composition(parts, minimum=s)[::-1]
-    return _built(cls, tuple(map(sub, map(sub, parts, (0,) + parts), repeat(s))))
+    return cls._make(_index_runs(validate_composition(parts, minimum=s), s))
 
 
 def _decode(cls, word) -> Composition:

@@ -7,7 +7,8 @@ computed two independent ways: by counting out-of-order pairs directly, and by
 rewriting the code word.  The bracket-indexes and the series i-form turn the
 shifted word's i-th R into a U, the row-adding side's rule (``codes._series``):
 read through the staircase U -> UL, that is [HJS]'s U put into the i-th RR
-pair of the plain word.
+pair of the plain word.  The code routes read the runs of the index they
+validated (``codes._index_runs``) and build no word.
 """
 
 from .core import (
@@ -24,16 +25,7 @@ from .core import (
     signed_result,
     validate_composition,
 )
-from .codes import (
-    ShiftedCodeWord,
-    _encode,
-    _replace_ith_r,
-    _rows,
-    _series,
-    _signed,
-    encode_code,
-    straighten_code_trace,
-)
+from .codes import _index_runs, _replace_ith_r, _rows, _series, _signed, _sum_exchanges
 from .oracle import _signed_sort
 
 
@@ -45,7 +37,7 @@ def straighten_Y_perm(parts) -> SignedIndexResult:
 
 def straighten_Y_code(parts) -> SignedIndexResult:
     """Straighten a strict-side index by code-word rewriting (the Q exchange rule)."""
-    out = straighten_code_trace(encode_code(parts), "q")
+    out = _sum_exchanges(_index_runs(validate_composition(parts)), "q")
     if out is not None and len(set(out[1])) < len(out[1]):
         return ZERO  # equal adjacent rows annihilate (the rows are checked sorted)
     return _signed(out)
@@ -81,7 +73,7 @@ def _bracket(lam: Composition, i: int) -> Composition:
     the shifted word's i-th R turned into a U."""
     if not i:
         return lam + (0,)
-    return _rows(_replace_ith_r(_encode(ShiftedCodeWord, lam).runs, i), ShiftedCodeWord.shift)
+    return _rows(_replace_ith_r(_index_runs(lam, 1), i), 1)
 
 
 def lambda_bracket(lam, i: int) -> Composition:
@@ -159,6 +151,4 @@ def q_series_i_form(lam, i_max: int) -> list[QSeriesTerm]:
     lam = _validated_strict(lam)
     i_max = check_int(i_max, "i_max", 0, SERIES_MAX)
     # n = i + b is at most i_max + len(lam), so the walk runs to i_max
-    return _series(
-        _encode(ShiftedCodeWord, lam).runs, 1, 0, i_max, i_max + len(lam), QSeriesTerm._make
-    )
+    return _series(_index_runs(lam, 1), 1, 0, i_max, i_max + len(lam), QSeriesTerm._make)

@@ -19,7 +19,6 @@ from .codes import (
     CodeWord,
     ShiftedCodeWord,
     _as_word,
-    _built,
     _decode,
     _encode,
     _rows,
@@ -55,7 +54,7 @@ class PreshiftedWord(ShiftedCodeWord):
 
     def strip_prefix(self) -> ShiftedCodeWord:
         """Drop the conceptual prefix, leaving the finite shifted word."""
-        return _built(ShiftedCodeWord, self.runs)
+        return ShiftedCodeWord._make(self.runs)
 
     def __str__(self) -> str:
         return "...ULULU" + self.letters
@@ -74,7 +73,7 @@ def preshift(word: CodeWord | str) -> PreshiftedWord:
     rows = _rows(word.runs)
     if any(p < 1 for p in rows):
         raise DomainError(f"index {rows} has a zero row; no shifted form exists")
-    return _built(PreshiftedWord, tuple(d - 1 for d in word.runs))
+    return PreshiftedWord._make(tuple(d - 1 for d in word.runs))
 
 
 def lambda_bracket_shifted(lam, i: int) -> Composition:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -41,6 +43,38 @@ def test_round_trip_sweep():
     for length in range(5):
         for mu in itertools.product(range(5), repeat=length):
             assert codes.decode_code(codes.encode_code(mu)) == mu
+
+
+def _spelled(mu, shift):
+    """Letters of mu's word, one per column: bottom-up, the path moves to the
+    k-th row's column, m_k - shift * k with k from 1, then steps up a U."""
+    letters, x = [], 0
+    for k, m in enumerate(reversed(mu), 1):
+        column = m - shift * k
+        letters += "R" * (column - x) or "L" * (x - column)
+        letters.append("U")
+        x = column
+    return "".join(letters)
+
+
+def test_a_word_stores_its_runs_and_renders_the_letters_it_was_validated_from():
+    # every word type keeps one field, its runs; its letters are rendered on
+    # each read, and must spell what the public constructor validated
+    assert codes.CodeWord.__slots__ == ("runs",)
+    assert codes.ShiftedCodeWord.__slots__ == shifted.PreshiftedWord.__slots__ == ()
+    for mu in verify.compositions(6, 5):  # () gives each type's empty word
+        plain = codes.encode_code(mu)
+        words = [(plain, _spelled(mu, 0))]
+        if all(mu):
+            words += [(shifted.encode_shifted(mu), _spelled(mu, 1))]
+            words += [(shifted.preshift(plain), _spelled(mu, 1))]
+        for word, letters in words:
+            cls = type(word)
+            validated = cls(letters)
+            assert validated == word and validated.letters == word.letters == letters, mu
+            assert repr(word) == f"{cls.__name__}(letters={letters!r})"
+            for copied in (pickle.loads(pickle.dumps(word)), copy.copy(word), copy.deepcopy(word)):
+                assert type(copied) is cls and copied == word and copied.letters == letters
 
 
 @pytest.mark.parametrize("letters", ["RL", "LU", "RUR", "X", "RLU"])

@@ -46,6 +46,17 @@ def test_series_at_a_huge_part_match_their_closed_forms():
     assert q_terms == qvertex.q_series_j_form((M,), 50)
 
 
+def test_index_routes_at_a_huge_part_match_their_closed_forms():
+    lam = (M, M // 2, 3)  # a partition, and strict
+    positions = [1, 2, 3, 4, 5, M // 2 - 2, M // 2, M // 2 + 1, M - 1, M, M + 1, 2 * M]
+    for i in positions:
+        assert bernstein.lambda_sup(lam, i) == verify._sup_closed(lam, i), i
+        bracket = verify._bracket_by_values(lam, i)
+        assert qvertex.lambda_bracket(lam, i) == shifted.lambda_bracket_shifted(lam, i) == bracket
+    assert qvertex.lambda_bracket(lam, 0) == lam + (0,)
+    assert [bernstein.r_index(lam, i) for i in range(1, 6)] == [M, M // 2, 3, 0, 0]
+
+
 def test_words_at_a_huge_part_compare_and_hash_by_their_runs():
     word = codes.encode_code((M, 1))
     assert word == codes.encode_code((M, 1)) and hash(word) == hash(codes.encode_code((M, 1)))

@@ -20,7 +20,6 @@ import pytest
 
 import codecalc
 from codecalc import bernstein, cli, codes, ops, qvertex, shifted, verify
-from codecalc.codes import _built
 from codecalc.core import negate
 
 
@@ -46,7 +45,16 @@ def _flip_sign(real):
 
 
 def _leading_l(word_type, real):
-    return lambda parts: _built(word_type, (-1,) + real(parts).runs)
+    return lambda parts: word_type._make((-1,) + real(parts).runs)
+
+
+def _row_up(real):
+    # runs whose bottom run moves one column more: every row one larger
+    def runs(parts, shift=0):
+        out = real(parts, shift)
+        return out and (out[0] + 1,) + out[1:]
+
+    return runs
 
 
 def _raises(error):
@@ -70,7 +78,11 @@ BROKEN_ROUTES = [
     # (module, attribute, how to break it, suite, op whose check must fail);
     # _replace_ith_r takes a word's runs, the shared bracket route an index.
     # The shared routes are broken where each side imports them, and each
-    # side's own reference must catch the fault.
+    # side's own reference must catch the fault.  _index_runs turns the rows
+    # of the index a bernstein or qvertex route validated into runs, with no
+    # encode_code on the way, so each side checks it through its own routes.
+    (bernstein, "_index_runs", _row_up, verify.verify_bernstein, "action_straighten"),
+    (qvertex, "_index_runs", _row_up, verify.verify_qvertex, "bracket_code"),
     (bernstein, "_replace_ith_r", _shift_i, verify.verify_bernstein, "sup_code"),
     (qvertex, "_bracket", _shift_i, verify.verify_qvertex, "bracket_code"),
     (shifted, "_bracket", _shift_i, verify.verify_shifted, "bracket_shifted"),
