@@ -79,15 +79,11 @@ class SeriesTerm(_Value):
 
     __slots__ = __match_args__ = ("family", "i", "t_exp", "sign_exp", "index")
 
-    def __init__(self, family: str, i: int, t_exp: int, sign_exp: int, index: Composition) -> None:
+    def __new__(cls, family: str, i: int, t_exp: int, sign_exp: int, index: Composition):
         if type(family) is not str:
             raise DomainError(f"family must be a str, got {family!r}")
         _check_exact_ints(i=i, t_exp=t_exp, sign_exp=sign_exp)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "t_exp", t_exp)
-        object.__setattr__(self, "sign_exp", sign_exp)
-        object.__setattr__(self, "index", _int_index(index))
+        return cls._make(family, i, t_exp, sign_exp, _int_index(index))
 
     @property
     def sign(self) -> int:

@@ -114,7 +114,7 @@ class CodeWord(_Value):
     __match_args__ = ("letters",)
     shift = 0  # class constant, not a field
 
-    def __init__(self, letters: str) -> None:
+    def __new__(cls, letters: str):
         w = letters
         if type(w) is not str:
             raise InvalidCodeError(f"a code word is a str of letters, not {type(w).__name__}")
@@ -127,10 +127,10 @@ class CodeWord(_Value):
             if w[-1] != "U":
                 raise InvalidCodeError(f"word {w!r} does not end with U")
         runs = _runs(w)
-        if any(p < self.shift for p in _rows(runs, self.shift)):
-            below = "has a row below 1" if self.shift else "has a negative row"
+        if any(p < cls.shift for p in _rows(runs, cls.shift)):
+            below = "has a row below 1" if cls.shift else "has a negative row"
             raise InvalidCodeError(f"word {w!r} {below}")
-        object.__setattr__(self, "runs", runs)
+        return cls._make(runs)
 
     @property
     def letters(self) -> str:

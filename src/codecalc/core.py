@@ -86,13 +86,15 @@ class _Value:
     """Base of the immutable value types: fields in ``__slots__``, named in
     ``__match_args__`` in constructor order.  As with a frozen dataclass, a
     value compares by type and fields, hashes by fields, prints the dataclass
-    repr and refuses assignment; pickle and copy rebuild it through its
-    validating constructor.  ``==`` and hash read the public ``__slots__``:
-    ``CodeWord``'s runs, not the letters rendered from them.
+    repr and refuses assignment; pickle rebuilds it through its checking
+    constructor, and a copy is the value itself, as for a tuple.  ``==`` and
+    hash read the ``__slots__``: ``CodeWord``'s runs, not the letters
+    rendered from them.
 
-    ``cls._make(*slots)`` builds a value from its ``__slots__`` in order
-    without running ``__init__``: only for values the package computed, whose
-    checks would pass (tests/test_core.py compares them with validated ones)."""
+    ``cls._make(*slots)``, the one setter, builds a value from its ``__slots__``
+    in order.  A public constructor is a ``__new__`` that checks its arguments
+    and returns ``cls._make``; the routes call ``_make`` alone, as their values
+    pass the checks (tests/test_core.py compares them with checked ones)."""
 
     __slots__ = ()
 
@@ -104,7 +106,7 @@ class _Value:
         # operator.attrgetter made == and hash about 1.7x slower, and setting
         # them through object.__setattr__ made _make about 1.4x slower.
         slots = cls.__slots__
-        mine = "".join(f"self.{name}, " for name in slots if name[0] != "_")
+        mine = "".join(f"self.{name}, " for name in slots)
         theirs = mine.replace("self.", "other.")
         namespace = {f"_set{name}": cls.__dict__[name].__set__ for name in slots}
         exec(
@@ -136,6 +138,11 @@ class _Value:
     def __reduce__(self):
         return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
 
+    def __copy__(self, memo=None):
+        return self
+
+    __deepcopy__ = __copy__
+
 
 def _int_index(index) -> Composition:
     """``index`` as a tuple, checked to hold exact ints (no bools): the check
@@ -158,14 +165,13 @@ class SignedIndexResult(_Value):
 
     __slots__ = __match_args__ = ("sign", "index")
 
-    def __init__(self, sign: int, index: Composition = ()) -> None:
+    def __new__(cls, sign: int, index: Composition = ()):
         parts = _int_index(index)
         if type(sign) is not int or sign not in (-1, 0, 1):
             raise DomainError(f"sign must be -1, 0 or +1, got {sign!r}")
         if sign == 0 and parts:
             raise DomainError("the zero result carries no index")
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "index", parts)
+        return cls._make(sign, parts)
 
     @property
     def is_zero(self) -> bool:

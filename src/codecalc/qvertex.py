@@ -93,13 +93,9 @@ class QSeriesTerm(_Value):
 
     __slots__ = __match_args__ = ("n", "j", "i", "sign_exp", "index")
 
-    def __init__(self, n: int, j: int, i: int, sign_exp: int, index: Composition) -> None:
+    def __new__(cls, n: int, j: int, i: int, sign_exp: int, index: Composition):
         _check_exact_ints(n=n, j=j, i=i, sign_exp=sign_exp)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "sign_exp", sign_exp)
-        object.__setattr__(self, "index", _int_index(index))
+        return cls._make(n, j, i, sign_exp, _int_index(index))
 
     @property
     def sign(self) -> int:

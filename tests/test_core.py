@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import itertools
 import json
@@ -382,6 +383,32 @@ def test_value_types_differ_by_fields():
     values = [value for value, _ in VALUES]
     assert all(a != b for i, a in enumerate(values) for b in values[i + 1 :])
     assert len(set(values)) == len(values)
+
+
+def test_make_is_the_only_setter_of_a_value():
+    """No module of the package sets a field through object.__setattr__, and
+    no _Value subclass defines __init__: a public constructor is a __new__
+    that checks its arguments and returns cls._make."""
+    trees = {f.name: ast.parse(f.read_text()) for f in Path(core.__file__).parent.glob("*.py")}
+    setattr_calls = [
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"
+    ]
+    assert setattr_calls == []
+    classes = {
+        node.name: node
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    values = {"_Value"}
+    for _ in classes:  # one pass per level of subclassing is enough
+        values |= {n for n, c in classes.items() if {ast.unparse(b) for b in c.bases} & values}
+    assert {"SignedIndexResult", "PreshiftedWord", "SeriesTerm", "QSeriesTerm"} <= values
+    defines = {n: [getattr(item, "name", "") for item in classes[n].body] for n in values}
+    assert [n for n in values if "__init__" in defines[n]] == []
 
 
 def _check_trusted(value):

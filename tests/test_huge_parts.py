@@ -5,6 +5,8 @@ about a terabyte, so a return to per-letter words makes each of these fail at
 once with a MemoryError instead of passing slowly.
 """
 
+import copy
+
 import pytest
 
 from codecalc import bernstein, cli, codes, oracle, qvertex, shifted, verify
@@ -62,6 +64,13 @@ def test_words_at_a_huge_part_compare_and_hash_by_their_runs():
     assert word == codes.encode_code((M, 1)) and hash(word) == hash(codes.encode_code((M, 1)))
     assert word != codes.encode_code((M + 1, 1))
     assert word != shifted.encode_shifted((M, 1))  # another type, of the same index
+
+
+def test_a_copy_of_a_word_at_a_huge_part_is_the_word_itself():
+    # a copy rebuilt from the letters would render 10**12 of them
+    word = codes.encode_code((M, 1))
+    for w in (word, shifted.encode_shifted((M, 1)), shifted.preshift(word)):
+        assert copy.copy(w) is w and copy.deepcopy(w) is w
 
 
 def test_preshift_at_a_huge_part():
