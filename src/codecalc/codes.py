@@ -11,9 +11,9 @@ distinct indexes always get distinct words.
 
 A reduced word's U-segments are each all R's or all L's, so a word is its
 runs: the net move before each U, bottom-up (R's positive, L's negative).
-Its letters are a view, rendered on each read; the routes of ``bernstein``
-and ``qvertex`` read the runs of an index they validated (``_index_runs``)
-and build no word at all.
+Its letters are a view, rendered on each read; ``straighten_B`` and the
+routes of ``bernstein`` and ``qvertex`` read the runs of an index they
+validated (``_index_runs``) and build no word at all.
 
 Straightening rewrites a word containing L's (rows out of order) into either
 the zero result or a signed word without L's (a partition), by repeatedly
@@ -23,7 +23,8 @@ L-run, resuming where the last step was, since a step leaves no L left of it;
 the rule's step rewrites the word at j into None (annihilation) or its sign
 exponent and new word.  The straighteners sum it, and verify checks the word
 of each step.  The plain, shifted and Q steps rewrite runs, at O(rows) a step
-whatever the parts; the reading step reads letters, maybe unreduced.
+whatever the parts; the reading step reads letters, maybe unreduced.  A word
+enters the loop through ``straighten_code_trace``, an index as its runs.
 
 A shifted word (Schur-Q side, strict indexes with positive rows) is the same
 kind of word read with its rows offset by a staircase: the k-th U from the
@@ -384,14 +385,21 @@ def _sum_exchanges(word, rule: str, on_step=None):
 
 
 def straighten_code_trace(word, rule: str = "plain"):
-    """Straighten a word of ``rule``'s type (a name in RULES) by the exchange
-    loop: None on annihilation, else (total sign exponent, final rows)."""
-    word = _as_word(RULES[rule][0], word)
-    return _sum_exchanges(word.letters if rule == "reading" else word.runs, rule)
+    """Straighten a word by ``rule`` (a name in RULES) through the exchange
+    loop: None on annihilation, else (total sign exponent, final rows).  The
+    reading rule takes a CodeWord or any letters, unreduced too (only the
+    alphabet is checked).  The Q rule's rows come before straighten_Y_code
+    annihilates equal rows: (2, 1, 2) gives (1, (2, 2, 1)) here, ZERO there."""
+    if rule != "reading":
+        return _sum_exchanges(_as_word(RULES[rule][0], word).runs, rule)
+    if isinstance(word, CodeWord):
+        word = word.letters
+    _check_alphabet(word)
+    return _sum_exchanges(word if type(word) is str else "".join(word), rule)
 
 
 def _signed(out) -> SignedIndexResult:
-    """The result of a ``*_trace`` value: ZERO for None, else the signed rows."""
+    """The signed result of a straightening: ZERO for None, else the signed rows."""
     return ZERO if out is None else signed_result(*out)
 
 
@@ -401,19 +409,10 @@ def straighten_code(word: CodeWord | str) -> SignedIndexResult:
 
 
 def straighten_B(parts: Composition) -> SignedIndexResult:
-    """Straighten an index with nonnegative rows (encode, then straighten)."""
-    return straighten_code(encode_code(parts))
-
-
-def reading_straighten_trace(word: CodeWord | str):
-    """straighten_code_trace by the reading rule, which also takes words that
-    are not reduced (only the alphabet is checked)."""
-    if isinstance(word, CodeWord):
-        return _sum_exchanges(word.letters, "reading")
-    _check_alphabet(word)
-    return _sum_exchanges(word if type(word) is str else "".join(word), "reading")
+    """Straighten an index with nonnegative rows by the exchanges on its runs."""
+    return _signed(_sum_exchanges(_index_runs(validate_composition(parts)), "plain"))
 
 
 def reading_straighten(word: CodeWord | str) -> SignedIndexResult:
-    """Reading-algorithm straightening: same contract as straighten_code."""
-    return _signed(reading_straighten_trace(word))
+    """Reading-algorithm straightening of a code word or letters, maybe unreduced."""
+    return _signed(straighten_code_trace(word, "reading"))

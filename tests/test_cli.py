@@ -174,6 +174,21 @@ def test_method_all_skips_shifted_on_zero_rows(capsys):
     assert code == 0 and out == "-1 * Q[2,0]\n"
 
 
+@pytest.mark.parametrize("index", ["0,0", "1,0,0"])
+@pytest.mark.parametrize(
+    "method,expected",
+    [
+        ("code", (0, "0\n", "")),
+        ("perm", (0, "0\n", "")),
+        ("all", (0, "0\n", "")),
+        ("shifted", (1, "", "error: index entry 0 is below the allowed minimum 1\n")),
+    ],
+)
+def test_q_methods_on_two_zero_rows(capsys, method, expected, index):
+    # two zero rows annihilate on the Q side (README); shifted words take positive rows only
+    assert _run(capsys, "straighten", "--algebra", "q", "--method", method, index) == expected
+
+
 def _home(op):
     return importlib.import_module(f"codecalc.{codecalc._HOME[op]}")
 

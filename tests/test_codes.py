@@ -139,7 +139,10 @@ def test_straighten_routes_agree_on_cases(mu, expected):
 def test_worked_example_sign_exponent_is_four():
     word = codes.encode_code((1, 3, 1, 6, 2))
     assert codes.straighten_code_trace(word) == (4, (3, 3, 3, 2, 2))
-    assert codes.reading_straighten_trace(word) == (4, (3, 3, 3, 2, 2))
+    assert codes.straighten_code_trace(word, "reading") == (4, (3, 3, 3, 2, 2))
+    # the reading entry takes unreduced letters and letter lists
+    assert codes.straighten_code_trace("RLRRULLU", "reading") == (1, (1, 1))
+    assert codes.straighten_code_trace(list("RURRULLU"), "reading") == (1, (2, 2, 1))
 
 
 def test_reading_tolerates_raw_words():
@@ -153,6 +156,24 @@ def test_reading_tolerates_raw_words():
             pos = rng.randrange(0, len(letters) + 1)
             letters[pos:pos] = rng.choice(["RL", "LR"])
         assert codes.reading_straighten("".join(letters)) == codes.straighten_B(mu)
+
+
+def test_reading_route_on_negative_rows_is_jacobi_trudi():
+    # a word that dips left of the origin has negative rows; with h_k = 0 for
+    # k < 0 (Macdonald I (3.4)) its determinant is the sorted exponents' sign
+    # and rows, or zero where the last straightened row is negative
+    words = [""] + [
+        "".join(w) + "U" for n in range(9) for w in itertools.product("RLU", repeat=n)
+    ]
+    negative = 0
+    for w in words:
+        rows = codes._rows(w)
+        negative += min(rows, default=0) < 0
+        expected = oracle.exponent_straighten(rows)
+        if not expected.is_zero and expected.index and expected.index[-1] < 0:
+            expected = SignedIndexResult(0)
+        assert codes.reading_straighten(w) == expected, w
+    assert (len(words), negative) == (9842, 5174)
 
 
 def test_letter_lists_keep_their_results():

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from codecalc import qvertex
+from codecalc import codes, qvertex
 from codecalc.core import DomainError, SignedIndexResult, ZERO, negate
 from codecalc.verify import _bracket_by_values, strict_partitions
 
@@ -20,6 +20,10 @@ PERM_CASES = [
     ((0, 2), SignedIndexResult(-1, (2, 0))),
     ((2, 0, 3), SignedIndexResult(1, (3, 2, 0))),
     ((0, 0, 2), ZERO),
+    # two zero rows annihilate, as README states; Schur's Pfaffian
+    # (Q_(0,0) = 1) would answer Q[] and Q[1]
+    ((0, 0), ZERO),
+    ((1, 0, 0), ZERO),
 ]
 
 
@@ -33,6 +37,13 @@ def test_straighten_routes_agree_sweep():
     for length in range(5):
         for mu in itertools.product(range(5), repeat=length):
             assert qvertex.straighten_Y_perm(mu) == qvertex.straighten_Y_code(mu), mu
+
+
+def test_q_trace_gives_the_rows_before_the_equal_rows_zero():
+    # straighten_code_trace's Q rule stops at the loop's rows; straighten_Y_code
+    # then annihilates equal rows
+    assert codes.straighten_code_trace(codes.encode_code((2, 1, 2)), "q") == (1, (2, 2, 1))
+    assert qvertex.straighten_Y_code((2, 1, 2)) == ZERO
 
 
 def test_anticommutation():
