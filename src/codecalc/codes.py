@@ -61,10 +61,15 @@ def _render(runs) -> str:
     return "U".join(["R" * d or "L" * -d for d in runs] + [""])
 
 
-def _check_alphabet(letters) -> None:
+def _letters(letters) -> str:
+    """``letters`` as a str checked against the alphabet: a str as it is, any
+    other iterable read into a list once (an iterator is read only once)."""
+    if type(letters) is not str:
+        letters = list(letters)
     if not ALPHABET.issuperset(letters):
         bad = next(ch for ch in letters if ch not in ALPHABET)
         raise InvalidCodeError(f"letter {bad!r} is not one of R, L, U")
+    return letters if type(letters) is str else "".join(letters)
 
 
 def _nets(letters) -> tuple[list[int], int]:
@@ -86,8 +91,7 @@ def reduce_word(letters: str) -> str:
     The normal form is unique: U's are never touched, and cancellations in any
     order reach the same word, each stretch between U's its net R's or L's.
     """
-    _check_alphabet(letters)
-    nets, net = _nets(letters)
+    nets, net = _nets(_letters(letters))
     return _render(nets) + ("R" * net or "L" * -net)
 
 
@@ -116,10 +120,9 @@ class CodeWord(_Value):
     shift = 0  # class constant, not a field
 
     def __new__(cls, letters: str):
-        w = letters
-        if type(w) is not str:
-            raise InvalidCodeError(f"a code word is a str of letters, not {type(w).__name__}")
-        _check_alphabet(w)
+        if type(letters) is not str:
+            raise InvalidCodeError(f"a code word is a str of letters, not {type(letters).__name__}")
+        w = _letters(letters)
         if "RL" in w or "LR" in w:  # no R next to an L
             raise InvalidCodeError(f"word {w!r} is not reduced")
         if w:
@@ -392,10 +395,7 @@ def straighten_code_trace(word, rule: str = "plain"):
     annihilates equal rows: (2, 1, 2) gives (1, (2, 2, 1)) here, ZERO there."""
     if rule != "reading":
         return _sum_exchanges(_as_word(RULES[rule][0], word).runs, rule)
-    if isinstance(word, CodeWord):
-        word = word.letters
-    _check_alphabet(word)
-    return _sum_exchanges(word if type(word) is str else "".join(word), rule)
+    return _sum_exchanges(_letters(word.letters if isinstance(word, CodeWord) else word), rule)
 
 
 def _signed(out) -> SignedIndexResult:

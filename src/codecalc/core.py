@@ -9,11 +9,11 @@ from operator import ge, gt
 
 Composition = tuple[int, ...]
 
-# The encoders below, set on canonical_json's first call.  They come from the
-# C module _json alone, so text output loads no JSON module and JSON output
-# does not load the json package, which would bring in its decoder and the
-# Python encoder; json loads only where _json is missing.
-_MARKED = _STATELESS = None
+# The marker-free C encoder from _json, built on canonical_json's first call
+# (False where _json is missing).  It keeps no state between calls, so one
+# serves every answer, and an answer loads _json and not the json package with
+# its decoder and Python encoder.  json.dumps takes the values it refuses.
+_STATELESS = None
 
 # Highest recursion limit at which canonical_json runs the marker-free encoder.
 # That encoder finds a cycle only by running into the recursion limit, and on
@@ -26,40 +26,32 @@ def _not_serializable(obj):
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
-def _load_json() -> None:
-    global _MARKED, _STATELESS
-    try:
-        from _json import encode_basestring_ascii, make_encoder
-    except ImportError:  # no C accelerator: json's own Python encoder
-        import json
-
-        _MARKED = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-        return
-    # what JSONEncoder(sort_keys=True, separators=(",", ":")).iterencode hands
-    # the C encoder, markers aside; the default raises as JSONEncoder.default
-    settings = (_not_serializable, encode_basestring_ascii, None, ":", ",", True, False, True)
-
-    def marked(obj) -> str:  # fresh markers: cycles raise ValueError
-        return "".join(make_encoder({}, *settings)(obj, 0))
-
-    _MARKED = marked
-    # no markers: it keeps no state between calls, so one serves every call
-    _STATELESS = make_encoder(None, *settings)
-
-
 def canonical_json(obj) -> str:
     """Serialize deterministically: sorted keys, no whitespace.
 
     Canonical output round-trips byte-identically through json.loads.
     """
-    if _MARKED is None:
-        _load_json()
-    if _STATELESS is not None and sys.getrecursionlimit() <= _STATELESS_DEPTH:
+    global _STATELESS
+    if _STATELESS is None:
+        try:
+            from _json import encode_basestring_ascii, make_encoder
+        except ImportError:
+            _STATELESS = False
+        else:
+            # what json.dumps(obj, sort_keys=True, separators=(",", ":")) hands
+            # the C encoder, markers aside; the default raises as json's does
+            _STATELESS = make_encoder(
+                None, _not_serializable, encode_basestring_ascii, None, ":", ",", True, False, True
+            )
+    if _STATELESS and sys.getrecursionlimit() <= _STATELESS_DEPTH:
         try:
             return "".join(_STATELESS(obj, 0))
         except RecursionError:
-            pass  # a cycle or nesting past the limit: the marked pass says which
-    return _MARKED(obj)
+            pass  # a cycle or nesting past the limit: json.dumps says which
+    # fresh markers, so a cycle raises ValueError; json's Python encoder without _json
+    import json
+
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class CalcError(Exception):

@@ -159,7 +159,7 @@ def _series_term(args) -> dict:
 # ``ops.run(op, args)`` equals ``reference(args)``; args may carry keys the op
 # does not take, such as the ``index`` a ``letters`` op's reference reads.
 REFERENCES = {
-    "straighten_code": ("straighten_B", _straightened(oracle.exponent_straighten)),
+    "straighten_code": ("straighten_code", _straightened(oracle.exponent_straighten)),
     "reading_straighten": ("reading_straighten", _straightened(oracle.exponent_straighten)),
     "reading_raw": ("reading_straighten", _straightened(oracle.exponent_straighten)),
     "exponent_vs_code": ("exponent_straighten", _straightened(codes.straighten_B)),
@@ -366,7 +366,7 @@ def verify_codes(max_part: int = 4, max_len: int = 3):
         yield from _word_cases("plain", args)
         if "L" in args["letters"]:
             yield "step_bound", {"rule": "plain", **args}
-        yield "straighten_code", {"index": list(mu)}
+        yield "straighten_code", args
         yield "reading_straighten", args
     rng = random.Random(0)
     for case in range(2000):

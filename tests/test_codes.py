@@ -185,6 +185,18 @@ def test_letter_lists_keep_their_results():
     for route in (codes.straighten_code, codes.decode_code, shifted.preshift):
         with pytest.raises(InvalidCodeError, match="a str of letters, not list"):
             route(letters)
+    # a one-shot iterator or generator is read once, not spent on the alphabet check
+    for make in (iter, lambda w: (ch for ch in w)):
+        assert codes.reading_straighten(make("RRULLUU")).is_zero
+        assert codes.reading_straighten(make("RU")) == SignedIndexResult(1, (1,))
+        assert codes.reduce_word(make("RRLUU")) == "RUU"
+        for route in (codes.reduce_word, codes.reading_straighten):
+            with pytest.raises(InvalidCodeError, match="^letter 'X' is not one of R, L, U$"):
+                route(make("RX"))
+    for word in (list("RRLUU"), tuple("RRLUU")):
+        assert codes.reduce_word(word) == "RUU"
+    with pytest.raises(InvalidCodeError, match="^letter 82 is not one of R, L, U$"):
+        codes.reduce_word(b"RU")
 
 
 @pytest.mark.parametrize("word", [["R", "U"], b"RU", ("R", "U")], ids=["list", "bytes", "tuple"])

@@ -16,6 +16,7 @@ import pytest
 
 import codecalc
 from codecalc import bernstein, codes, core, oracle, qvertex, shifted
+from test_cli import JSON_PACKAGE, _start
 
 
 class MyInt(int):
@@ -220,9 +221,9 @@ def _counted(monkeypatch, owner, name):
     calls = [0]
     inner = getattr(owner, name)
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls[0] += 1
-        return inner(*args)
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, wrapper)
     return calls
@@ -230,18 +231,19 @@ def _counted(monkeypatch, owner, name):
 
 def _canonical_json_matches_json_dumps(monkeypatch, c_encoder):
     """The checks of test_canonical_json_matches_json_dumps, on the encoder
-    path this interpreter's canonical_json took at load."""
-    core.canonical_json(None)  # the encoders are loaded
-    # the path: the C encoder from _json, or json's Python encoder without it
-    assert (core._STATELESS is not None) == c_encoder
+    path this interpreter's canonical_json took on its first call."""
+    core.canonical_json(None)  # the encoder is built
+    # the path: the cached C encoder from _json, or json.dumps without it
+    assert (core._STATELESS is not False) == c_encoder
     assert (json.encoder.c_make_encoder is not None) == c_encoder
+    settings = {"sort_keys": True, "separators": (",", ":")}
+    expected = [json.dumps(value, **settings) for value in CANONICAL_CASES]
     stateless = _counted(monkeypatch, core, "_STATELESS") if c_encoder else [0]
-    marked = _counted(monkeypatch, core, "_MARKED")
-    for value in CANONICAL_CASES:
-        expected = json.dumps(value, sort_keys=True, separators=(",", ":"))
-        assert core.canonical_json(value) == expected, value
-    # each case ran on one path only: the cached C encoder or the Python encoder
-    ran, idle = (stateless, marked) if c_encoder else (marked, stateless)
+    dumps = _counted(monkeypatch, json, "dumps")
+    for value, want in zip(CANONICAL_CASES, expected):
+        assert core.canonical_json(value) == want, value
+    # each case ran on one path only: the cached C encoder or json.dumps
+    ran, idle = (stateless, dumps) if c_encoder else (dumps, stateless)
     assert (ran[0], idle[0]) == (len(CANONICAL_CASES), 0)
 
     loop: list = [1]
@@ -267,7 +269,7 @@ def test_canonical_json_matches_json_dumps(monkeypatch, c_encoder):
             pytest.skip("this Python's json has no C encoder")
         _canonical_json_matches_json_dumps(monkeypatch, c_encoder)
         return
-    # the path is chosen when the encoders load, so the Python encoder runs in
+    # the path is chosen on the first call, so the Python encoder runs in
     # a fresh interpreter that cannot import _json, json.dumps included
     script = (
         "import sys\n"
@@ -284,9 +286,9 @@ def test_canonical_json_matches_json_dumps(monkeypatch, c_encoder):
 @pytest.mark.parametrize("depth", [5_000, 100_000])
 def test_canonical_json_nesting_past_the_limit_raises_as_json_dumps(depth):
     # the marker-free pass runs at this limit, and a RecursionError from it is
-    # not taken for a cycle: the marked pass raises it again, as json.dumps
-    # does.  Python 3.10-3.12 stop 5,000 levels at the default limit, 3.13 only
-    # past its C recursion limit; every one of them stops 100,000.
+    # not taken for a cycle: json.dumps, with markers, raises it again.
+    # Python 3.10-3.12 stop 5,000 levels at the default limit, 3.13 only past
+    # its C recursion limit; every one of them stops 100,000.
     assert sys.getrecursionlimit() <= core._STATELESS_DEPTH
     deep: list = []
     for _ in range(depth):
@@ -303,7 +305,7 @@ def test_canonical_json_nesting_past_the_limit_raises_as_json_dumps(depth):
 
 
 def test_canonical_json_above_the_guard_runs_only_the_marked_encoder(monkeypatch):
-    core.canonical_json(None)  # json and the encoders are loaded
+    core.canonical_json(None)  # the encoder is built
     stateless = _counted(monkeypatch, core, "_STATELESS")
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(core._STATELESS_DEPTH + 1)
@@ -335,6 +337,27 @@ def test_a_cycle_raises_value_error_at_any_recursion_limit(limit):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "Circular reference detected\n" * 4 + "[1]\n"
+
+
+def test_an_answer_loads_only_the_c_encoder_and_a_cycle_loads_json():
+    # the modules loaded after the answer, as a line, and at the end, less a
+    # bare interpreter's; json loads only for json.dumps, on the cycle
+    out, new = _start(
+        "from codecalc.core import canonical_json\n"
+        "print(canonical_json({'sign': -1, 'index': [3, 3, 0]}))\n"
+        "print(*sorted(sys.modules))\n"
+        "loop = [1]; loop.append(loop)\n"
+        "try:\n"
+        "    canonical_json(loop)\n"
+        "except ValueError as exc:\n"
+        "    print(repr(exc))"
+    )
+    answer, after_answer, cycle = out
+    assert answer == '{"index":[3,3,0],"sign":-1}'
+    assert cycle == "ValueError('Circular reference detected')"
+    after_answer = set(after_answer.split()) & new
+    assert "_json" in after_answer and not after_answer & JSON_PACKAGE
+    assert "json" in new - after_answer
 
 
 # One value of each value type, with its repr as the frozen dataclasses printed it.

@@ -25,6 +25,11 @@ def test_straighten_B_at_huge_parts_matches_the_exponent_sort():
     assert codes.straighten_B(mu) == SignedIndexResult(-1, (M - 1, M // 2 - 2, 3, 3))
 
 
+def test_straighten_code_on_a_word_with_a_huge_part_matches_straighten_B():
+    mu = (1, M, 2, M // 2)
+    assert codes.straighten_code(codes.encode_code(mu)) == codes.straighten_B(mu)
+
+
 def test_straighten_Y_code_at_a_huge_part_matches_perm():
     assert qvertex.straighten_Y_code((1, M)) == qvertex.straighten_Y_perm((1, M))
 

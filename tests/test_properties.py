@@ -70,7 +70,7 @@ def _with_letters(mus, encode):
 index_args = indexes.map(lambda mu: {"index": list(mu)})
 # one args strategy per op that verify.REFERENCES checks
 OP_ARGS = {
-    "straighten_B": index_args,
+    "straighten_code": _with_letters(indexes, codes.encode_code),
     "exponent_straighten": index_args,
     "straighten_Y_code": index_args,
     "reading_straighten": st.builds(
@@ -112,11 +112,12 @@ def _big_at(lams, name, lo, hi):
     return st.tuples(lams, st.integers(lo, hi)).map(lambda p: {"index": list(p[0]), name: p[1]})
 
 
-# args at large parts for the ops whose code route reads the word's runs only;
+# args at large parts for the checks whose code route, the op or its
+# reference, reads the word's runs only (exponent_vs_code: straighten_B);
 # a degree n stays small, since series_action checks B_n against a series
 # window of n + len(lam) + 1 terms
 BIG_OP_ARGS = {
-    "straighten_B": big_indexes.map(lambda mu: {"index": list(mu)}),
+    "exponent_straighten": big_indexes.map(lambda mu: {"index": list(mu)}),
     "straighten_Y_code": big_indexes.map(lambda mu: {"index": list(mu)}),
     "lambda_sup": _big_at(big_partitions, "i", 1, 10**6 + 50),
     "r_index": _big_at(big_partitions, "i", 1, 45),

@@ -216,10 +216,10 @@ def test_sweeps_report_every_broken_law(monkeypatch, check):
 
 
 def test_check_records_errors_as_failures(monkeypatch):
-    def broken(parts):
+    def broken(word):
         raise codes.InternalInvariantError("broken on purpose")
 
-    monkeypatch.setattr(codes, "straighten_B", broken)
+    monkeypatch.setattr(codes, "straighten_code", broken)
     report = verify.verify_codes(2, 2)
     raised = [f for f in report.failures if f["expected"] == "no error"]
     assert raised and all("broken on purpose" in f["got"] for f in raised)
