@@ -11,9 +11,10 @@ distinct indexes always get distinct words.
 
 A reduced word's U-segments are each all R's or all L's, so a word is its
 runs: the net move before each U, bottom-up (R's positive, L's negative).
-Its letters are a view, rendered on each read; ``straighten_B`` and the
-routes of ``bernstein`` and ``qvertex`` read the runs of an index they
-validated (``_index_runs``) and build no word at all.
+Its letters are a view, rendered on each read; the word routes take a
+word's runs (``_word_runs``), and ``straighten_B`` and the routes of
+``bernstein`` and ``qvertex`` read the runs of an index they validated
+(``_index_runs``) and build no word at all.
 
 Straightening rewrites a word containing L's (rows out of order) into either
 the zero result or a signed word without L's (a partition), by repeatedly
@@ -72,6 +73,11 @@ def _letters(letters) -> str:
     return letters if type(letters) is str else "".join(letters)
 
 
+# letter by letter on purpose: a reader on str.split("U") and str.count was
+# 1.5-2.6x slower on words of 20-24 letters, reduced or not (Python 3.11 on a
+# 2-CPU host).  verify's round trip reads the encoders' letters through this
+# reader, apart from the ``_runs`` the encoders build, so neither reader is
+# folded into the other.
 def _nets(letters) -> tuple[list[int], int]:
     """Net moves (R's minus L's) of letters, maybe unreduced: one per U-closed
     stretch, bottom-up, and the stretch after the last U."""
@@ -130,11 +136,7 @@ class CodeWord(_Value):
                 raise InvalidCodeError(f"word {w!r} starts with L")
             if w[-1] != "U":
                 raise InvalidCodeError(f"word {w!r} does not end with U")
-        runs = _runs(w)
-        if any(p < cls.shift for p in _rows(runs, cls.shift)):
-            below = "has a row below 1" if cls.shift else "has a negative row"
-            raise InvalidCodeError(f"word {w!r} {below}")
-        return cls._make(runs)
+        return cls._make(_row_checked(cls, _runs(w)))
 
     @property
     def letters(self) -> str:
@@ -157,16 +159,23 @@ class ShiftedCodeWord(CodeWord):
     shift = 1
 
 
-def _as_word(cls, word):
-    """``word`` itself when it is a ``cls`` word of ``cls``'s style (its
-    ``shift``), such as a PreshiftedWord handed to the shifted routes.
+def _row_checked(cls, runs) -> tuple[int, ...]:
+    """``runs`` when every row they give at ``cls``'s offset is at least
+    ``cls.shift``; the letters are rendered only to word the error."""
+    if any(p < cls.shift for p in _rows(runs, cls.shift)):
+        below = "has a row below 1" if cls.shift else "has a negative row"
+        raise InvalidCodeError(f"word {_render(runs)!r} {below}")
+    return runs
 
-    A word of another style or a string is taken as its letters and validated
-    as a ``cls`` word, so no word is read at another style's offset.
-    """
-    if isinstance(word, cls) and word.shift == cls.shift:
-        return word
-    return cls(word.letters if isinstance(word, CodeWord) else word)
+
+def _word_runs(cls, word) -> tuple[int, ...]:
+    """Runs of ``word`` read as a ``cls`` word: a word of ``cls``'s style (its
+    ``shift``), a PreshiftedWord too, as they are; a word of another style
+    checked at ``cls``'s offset, as its letters would be; anything else
+    validated as ``cls(word)``."""
+    if not isinstance(word, CodeWord):
+        return cls(word).runs
+    return word.runs if word.shift == cls.shift else _row_checked(cls, word.runs)
 
 
 def _index_runs(parts: Composition, shift: int = 0) -> tuple[int, ...]:
@@ -186,11 +195,6 @@ def _encode(cls, parts: Composition):
     return cls._make(_index_runs(validate_composition(parts, minimum=s), s))
 
 
-def _decode(cls, word) -> Composition:
-    """Index encoded by a ``cls`` word (other words and strings are validated)."""
-    return _rows(_as_word(cls, word).runs, cls.shift)
-
-
 def encode_code(parts: Composition) -> CodeWord:
     """Code word of an index with nonnegative rows."""
     return _encode(CodeWord, parts)
@@ -198,7 +202,7 @@ def encode_code(parts: Composition) -> CodeWord:
 
 def decode_code(word: CodeWord | str) -> Composition:
     """Index encoded by a code word (validates anything but a plain CodeWord)."""
-    return _decode(CodeWord, word)
+    return _rows(_word_runs(CodeWord, word))
 
 
 def _replace_ith_r(runs, i: int):
@@ -390,11 +394,12 @@ def _sum_exchanges(word, rule: str, on_step=None):
 def straighten_code_trace(word, rule: str = "plain"):
     """Straighten a word by ``rule`` (a name in RULES) through the exchange
     loop: None on annihilation, else (total sign exponent, final rows).  The
-    reading rule takes a CodeWord or any letters, unreduced too (only the
-    alphabet is checked).  The Q rule's rows come before straighten_Y_code
-    annihilates equal rows: (2, 1, 2) gives (1, (2, 2, 1)) here, ZERO there."""
+    other rules take the runs of ``_word_runs``; the reading rule takes a
+    CodeWord or any letters, unreduced too (only the alphabet is checked).
+    The Q rule's rows come before straighten_Y_code annihilates equal rows:
+    (2, 1, 2) gives (1, (2, 2, 1)) here, ZERO there."""
     if rule != "reading":
-        return _sum_exchanges(_as_word(RULES[rule][0], word).runs, rule)
+        return _sum_exchanges(_word_runs(RULES[rule][0], word), rule)
     return _sum_exchanges(_letters(word.letters if isinstance(word, CodeWord) else word), rule)
 
 

@@ -22,6 +22,11 @@ from .core import (
 )
 
 
+# the most variables a bialternant or Schur polynomial takes: both sum over
+# all n! permutations, 8! = 40,320 of them (under a second)
+MAX_VARS = 8
+
+
 def staircase(length: int) -> Composition:
     """The strictly decreasing shift (length-1, ..., 1, 0)."""
     return tuple(range(length - 1, -1, -1))
@@ -187,11 +192,14 @@ def _permutation_sign(perm) -> int:
 def bialternant(exponents) -> IntPolynomial:
     """Alternating sum over all permutations of a monomial's exponent vector.
 
-    The exponents must be ints >= 0; anything else, bools included, raises
-    DomainError.  Repeated exponents cancel to the zero polynomial on their own.
+    The exponents must be at most ``MAX_VARS`` ints >= 0; anything else, bools
+    included, raises DomainError.  Repeated exponents cancel to the zero
+    polynomial on their own.
     """
     exponents = validate_composition(exponents)
     n = len(exponents)
+    if n > MAX_VARS:
+        raise DomainError(f"a bialternant takes at most {MAX_VARS} exponents, got {n}")
     acc: dict[tuple[int, ...], int] = {}
     for perm in permutations(range(n)):
         key = tuple(exponents[p] for p in perm)
@@ -230,11 +238,11 @@ def _schur_cached(parts: Composition, nvars: int) -> IntPolynomial:
 def schur_poly(parts, nvars: int) -> IntPolynomial:
     """Schur polynomial of an index in x1..xnvars, as a bialternant quotient.
 
-    Accepts any index of ints >= 0 (not just partitions) and an int nvars >=
-    len(parts); anything else, bools included, raises DomainError.  Out-of-order
-    indexes come out as the signed straightened polynomial, repeated shifted
-    exponents as the zero polynomial.
+    Accepts any index of ints >= 0 (not just partitions) and an int nvars from
+    len(parts) to ``MAX_VARS``; anything else, bools included, raises
+    DomainError.  Out-of-order indexes come out as the signed straightened
+    polynomial, repeated shifted exponents as the zero polynomial.
     """
     parts = validate_composition(parts)
-    check_int(nvars, "nvars", len(parts))
+    check_int(nvars, "nvars", len(parts), MAX_VARS)
     return _schur_cached(parts, nvars)

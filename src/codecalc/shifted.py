@@ -18,11 +18,10 @@ from .core import (
 from .codes import (
     CodeWord,
     ShiftedCodeWord,
-    _as_word,
-    _decode,
     _encode,
     _rows,
     _signed,
+    _word_runs,
     straighten_code_trace,
 )
 from .qvertex import _bracket, _validated_strict
@@ -35,7 +34,7 @@ def encode_shifted(parts) -> ShiftedCodeWord:
 
 def decode_shifted(word: ShiftedCodeWord | str) -> Composition:
     """Index encoded by a shifted-code word (validates anything but a ShiftedCodeWord)."""
-    return _decode(ShiftedCodeWord, word)
+    return _rows(_word_runs(ShiftedCodeWord, word), 1)
 
 
 def shifted_straighten(word: ShiftedCodeWord | str) -> SignedIndexResult:
@@ -69,11 +68,11 @@ def preshift(word: CodeWord | str) -> PreshiftedWord:
     its L, the last U's L cancels an R of the R-tail), and the shifted reading
     adds that column back, so the rows stay.
     """
-    word = _as_word(CodeWord, word)
-    rows = _rows(word.runs)
+    runs = _word_runs(CodeWord, word)
+    rows = _rows(runs)
     if any(p < 1 for p in rows):
         raise DomainError(f"index {rows} has a zero row; no shifted form exists")
-    return PreshiftedWord._make(tuple(d - 1 for d in word.runs))
+    return PreshiftedWord._make(tuple(d - 1 for d in runs))
 
 
 def lambda_bracket_shifted(lam, i: int) -> Composition:

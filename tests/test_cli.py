@@ -407,6 +407,20 @@ def test_verify_deeply_nested_corpus_line_is_a_failure(tmp_path, capsys):
     assert failures[1]["input"]["line"] == 2
 
 
+def test_verify_factorial_corpus_line_is_a_failure(tmp_path, capsys):
+    # 13 exponents would be 13! permutations, hours of work: the cap refuses them
+    line = {"op": "bialternant", "args": {"exponents": [0] * 13}, "expected": {"poly": "0"}}
+    path = tmp_path / "big.jsonl"
+    path.write_text(canonical_json(line) + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "verify", "--suite", "corpus", "--file", str(path))
+    assert time.perf_counter() - start < 5
+    assert code == 1 and err == ""
+    report, failure = out.splitlines()
+    assert report.startswith("suite=corpus cases=1 failures=1")
+    assert json.loads(failure)["got"] == "DomainError: a bialternant takes at most 8 exponents, got 13"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "codecalc", "straighten", "--algebra", "b", "1,3,1,6,2"],

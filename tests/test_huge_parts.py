@@ -92,6 +92,18 @@ def test_a_preshifted_word_at_a_huge_part_is_read_by_its_runs():
     assert shifted.decode_shifted(word) == (M, 1)
 
 
+def test_a_word_of_the_other_style_at_a_huge_part_is_read_by_its_runs():
+    # checked at the route's own offset, not rendered: the shifted runs of
+    # (M, 1) are (0, M - 2), the plain runs (1, M - 1)
+    plain, strict = codes.encode_code((M, 1)), shifted.encode_shifted((M, 1))
+    assert codes.decode_code(strict) == (M - 2, 0)
+    assert codes.straighten_code(strict) == SignedIndexResult(1, (M - 2, 0))
+    assert shifted.decode_shifted(plain) == (M + 2, 2)
+    assert shifted.shifted_straighten(plain) == SignedIndexResult(1, (M + 2, 2))
+    # the shifted runs of (M, 2), (1, M - 3), read plain are rows (M - 2, 1)
+    assert shifted.preshift(shifted.encode_shifted((M, 2))).runs == (0, M - 4)
+
+
 @pytest.mark.parametrize("method", ["shifted", "all"])
 def test_cli_hands_the_word_between_ops_at_a_huge_part(capsys, method):
     argv = ["straighten", "--algebra", "q", "--method", method, "--format", "text", f"1,{M}"]

@@ -175,12 +175,13 @@ def test_schur_poly(mu, nvars, rendered):
 
 
 def test_schur_poly_rejects_bad_input():
-    for parts, nvars in [((2, 1), 1), ((-1,), 1), ((1,), True), ((2, 1), 2.0), ((1.0,), 1)]:
+    cases = [((2, 1), 1), ((-1,), 1), ((1,), True), ((2, 1), 2.0), ((1.0,), 1), ((), 9)]
+    for parts, nvars in cases:
         with pytest.raises(DomainError):
             ops.run("schur_poly", {"index": parts, "nvars": nvars})
 
 
-@pytest.mark.parametrize("exponents", [(1.5, 0), (True, False), (-1, 0)])
+@pytest.mark.parametrize("exponents", [(1.5, 0), (True, False), (-1, 0), (0,) * 9])
 def test_bialternant_rejects_bad_exponents(exponents):
     with pytest.raises(DomainError):
         ops.run("bialternant", {"exponents": exponents})

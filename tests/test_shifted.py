@@ -212,8 +212,8 @@ def test_lambda_bracket_shifted_rejects_zero_position():
 def _outcome(fn, arg):
     try:
         return fn(arg)
-    except InvalidCodeError as exc:
-        return str(exc)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize(
@@ -232,3 +232,26 @@ def test_word_of_another_style_is_taken_as_its_letters(fn, other, letters):
     # the two styles read "RRULU" as different indexes
     assert codes.decode_code("RRULU") == (1, 2) and shifted.decode_shifted("RRULU") == (3, 3)
     assert _outcome(fn, other(letters)) == _outcome(fn, letters)
+
+
+def test_every_word_answers_as_its_letters_sweep():
+    # every word answers each route as its letters do, errors included; a
+    # word of the other style is checked on its runs, never spelled out
+    routes = (
+        codes.decode_code,
+        codes.straighten_code,
+        shifted.preshift,
+        lambda w: codes.straighten_code_trace(w, "q"),
+        shifted.decode_shifted,
+        shifted.shifted_straighten,
+    )
+    words = []
+    for n in range(5):
+        for mu in itertools.product(range(7), repeat=n):
+            words.append(codes.encode_code(mu))
+            if all(mu):
+                words += [shifted.encode_shifted(mu), shifted.preshift(codes.encode_code(mu))]
+    assert len(words) == 5911
+    for word in words:
+        for route in routes:
+            assert _outcome(route, word) == _outcome(route, word.letters), (word, route)
