@@ -202,7 +202,7 @@ def encode_code(parts: Composition) -> CodeWord:
 
 def decode_code(word: CodeWord | str) -> Composition:
     """Index encoded by a code word (validates anything but a plain CodeWord)."""
-    return _rows(_word_runs(CodeWord, word))
+    return _rows(_word_runs(CodeWord, word), CodeWord.shift)
 
 
 def _replace_ith_r(runs, i: int):

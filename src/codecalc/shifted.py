@@ -34,7 +34,7 @@ def encode_shifted(parts) -> ShiftedCodeWord:
 
 def decode_shifted(word: ShiftedCodeWord | str) -> Composition:
     """Index encoded by a shifted-code word (validates anything but a ShiftedCodeWord)."""
-    return _rows(_word_runs(ShiftedCodeWord, word), 1)
+    return _rows(_word_runs(ShiftedCodeWord, word), ShiftedCodeWord.shift)
 
 
 def shifted_straighten(word: ShiftedCodeWord | str) -> SignedIndexResult:
@@ -69,7 +69,7 @@ def preshift(word: CodeWord | str) -> PreshiftedWord:
     adds that column back, so the rows stay.
     """
     runs = _word_runs(CodeWord, word)
-    rows = _rows(runs)
+    rows = _rows(runs, CodeWord.shift)
     if any(p < 1 for p in rows):
         raise DomainError(f"index {rows} has a zero row; no shifted form exists")
     return PreshiftedWord._make(tuple(d - 1 for d in runs))

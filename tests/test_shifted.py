@@ -212,8 +212,28 @@ def test_lambda_bracket_shifted_rejects_zero_position():
 def _outcome(fn, arg):
     try:
         return fn(arg)
-    except Exception as exc:
+    except (InvalidCodeError, DomainError) as exc:
         return type(exc), str(exc)
+
+
+def _trace_q(word):
+    return codes.straighten_code_trace(word, "q")
+
+
+def _words_by_style():
+    # the plain word of every composition with parts <= 6 and at most 4 rows;
+    # for positive parts, also its shifted word and its preshift
+    words = {codes.CodeWord: [], shifted.ShiftedCodeWord: [], shifted.PreshiftedWord: []}
+    for n in range(5):
+        for mu in itertools.product(range(7), repeat=n):
+            words[codes.CodeWord].append(codes.encode_code(mu))
+            if all(mu):
+                words[shifted.ShiftedCodeWord].append(shifted.encode_shifted(mu))
+                words[shifted.PreshiftedWord].append(shifted.preshift(codes.encode_code(mu)))
+    return words
+
+
+WORDS = _words_by_style()
 
 
 @pytest.mark.parametrize(
@@ -226,32 +246,19 @@ def _outcome(fn, arg):
         (shifted.decode_shifted, codes.CodeWord, "RRULU"),
         (shifted.shifted_straighten, codes.CodeWord, "RRULU"),
         (shifted.decode_shifted, shifted.PreshiftedWord, "RRULU"),
+        (codes.decode_code, shifted.PreshiftedWord, "RRULU"),
+        (codes.straighten_code, shifted.PreshiftedWord, "RRULU"),
+        (shifted.preshift, shifted.ShiftedCodeWord, "RRULU"),
+        (shifted.preshift, shifted.PreshiftedWord, "RRULU"),
+        (_trace_q, shifted.ShiftedCodeWord, "RRULU"),
+        (_trace_q, shifted.PreshiftedWord, "RRULU"),
     ],
 )
 def test_word_of_another_style_is_taken_as_its_letters(fn, other, letters):
     # the two styles read "RRULU" as different indexes
     assert codes.decode_code("RRULU") == (1, 2) and shifted.decode_shifted("RRULU") == (3, 3)
     assert _outcome(fn, other(letters)) == _outcome(fn, letters)
-
-
-def test_every_word_answers_as_its_letters_sweep():
-    # every word answers each route as its letters do, errors included; a
-    # word of the other style is checked on its runs, never spelled out
-    routes = (
-        codes.decode_code,
-        codes.straighten_code,
-        shifted.preshift,
-        lambda w: codes.straighten_code_trace(w, "q"),
-        shifted.decode_shifted,
-        shifted.shifted_straighten,
-    )
-    words = []
-    for n in range(5):
-        for mu in itertools.product(range(7), repeat=n):
-            words.append(codes.encode_code(mu))
-            if all(mu):
-                words += [shifted.encode_shifted(mu), shifted.preshift(codes.encode_code(mu))]
-    assert len(words) == 5911
-    for word in words:
-        for route in routes:
-            assert _outcome(route, word) == _outcome(route, word.letters), (word, route)
+    # and so does every small word of that style, errors included: a word of
+    # the other style is checked on its runs, never spelled out
+    for word in WORDS[other]:
+        assert _outcome(fn, word) == _outcome(fn, word.letters), word
