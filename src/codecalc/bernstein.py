@@ -5,10 +5,10 @@ rule of ``codes``: n goes on top of the code word as a new run, and the
 straightened word either vanishes, is (n,) + lam itself, or (for small n) turns
 one R into a U.  The series expansion of the operator product is indexed by
 i >= 1 via the sup-indexes lambda^(i): term i turns the i-th R into a U, in
-one walk of the word (``codes._series``) that the Schur-Q i-form shares.  Every
-route here reads the runs of the partition it validated (``codes._index_runs``)
-and builds no word, so a call or a series term costs O(rows) whatever the
-parts.
+one walk over the validated partition (``codes._series``) that the Schur-Q
+i-form shares, and ``lambda_sup`` is term i of it.  Every route here reads the
+runs of the partition it validated (``codes._index_runs``) and builds no word,
+so a call or a series term costs O(rows) whatever the parts.
 """
 
 from functools import partial
@@ -25,7 +25,7 @@ from .core import (
     is_partition,
     validate_composition,
 )
-from .codes import _index_runs, _replace_ith_r, _rows, _series, _signed, _sum_exchanges
+from .codes import _index_runs, _series, _signed, _sum_exchanges
 
 
 def _validated_partition(parts) -> Composition:
@@ -52,7 +52,7 @@ def bn_action(n: int, lam) -> SignedIndexResult:
 
 
 def lambda_sup(lam, i: int) -> Composition:
-    """The i-th sup-index of a partition: i-th R of the code word becomes a U.
+    """The i-th sup-index of a partition: term i of the series walk, i-th R to U.
 
     Equivalently, with j the number of rows >= i, subtract 1 from each of the
     first j rows and insert a new row i-1 after them.  ``codecalc verify``
@@ -61,7 +61,7 @@ def lambda_sup(lam, i: int) -> Composition:
     """
     lam = _validated_partition(lam)
     i = check_int(i, "sup-index position", 1)
-    return _rows(_replace_ith_r(_index_runs(lam), i))
+    return _series(lam, 0, i, i, i, _schur_term)[0].index
 
 
 def r_index(lam, i: int) -> int:
@@ -112,7 +112,7 @@ def bernstein_series(lam, i_max: int) -> list[SeriesTerm]:
     lam = _validated_partition(lam)
     i_max = check_int(i_max, "i_max", 0, SERIES_MAX)
     # every t-exponent is below i, so t_max = i_max cuts no term
-    return _series(_index_runs(lam), 0, 1, i_max, i_max, _schur_term)
+    return _series(lam, 0, 1, i_max, i_max, _schur_term)
 
 
 def bernstein_series_window(lam, n_max: int) -> list[SeriesTerm]:
@@ -126,4 +126,4 @@ def bernstein_series_window(lam, n_max: int) -> list[SeriesTerm]:
     """
     lam = _validated_partition(lam)
     n_max = check_int(n_max, "n_max", None, SERIES_MAX)
-    return _series(_index_runs(lam), 0, 1, n_max + 1 + len(lam), n_max, _schur_term)
+    return _series(lam, 0, 1, n_max + 1 + len(lam), n_max, _schur_term)

@@ -50,6 +50,10 @@ from .core import (
 
 ALPHABET = frozenset("RLU")
 
+# a failing word's error quotes its letters up to this many, else names its
+# runs; an argv string holds at most 131,072 bytes, so a CLI word is quoted
+QUOTED_LETTERS = 2**20
+
 
 def _runs(letters: str) -> tuple[int, ...]:
     """Runs of a reduced word's letters: each U-closed stretch's length,
@@ -164,7 +168,9 @@ def _row_checked(cls, runs) -> tuple[int, ...]:
     ``cls.shift``; the letters are rendered only to word the error."""
     if any(p < cls.shift for p in _rows(runs, cls.shift)):
         below = "has a row below 1" if cls.shift else "has a negative row"
-        raise InvalidCodeError(f"word {_render(runs)!r} {below}")
+        n = sum(map(abs, runs)) + len(runs)  # letters
+        word = repr(_render(runs)) if n <= QUOTED_LETTERS else f"of {n} letters, runs {runs},"
+        raise InvalidCodeError(f"word {word} {below}")
     return runs
 
 
@@ -205,31 +211,22 @@ def decode_code(word: CodeWord | str) -> Composition:
     return _rows(_word_runs(CodeWord, word), CodeWord.shift)
 
 
-def _replace_ith_r(runs, i: int):
-    """Runs of a word without L's with its i-th R, counted from the left into
-    the R-tail past the stored word, turned into a U."""
-    for b, d in enumerate(runs):
-        if i <= d:
-            return runs[:b] + (i - 1, d - i) + runs[b + 1 :]
-        i -= d
-    return runs + (i - 1,)
-
-
-def _series(runs, shift: int, i_min: int, i_max: int, t_max: int, term) -> list:
-    """Terms i_min..i_max of a series over a word without L's, up to the first
+def _series(rows, shift: int, i_min: int, i_max: int, t_max: int, term) -> list:
+    """Terms i_min..i_max of a series over a validated index, up to the first
     whose t-exponent passes t_max.  A term is ``term(i, t-exponent, sign
     exponent, index)`` at ``shift`` 0 and ``term(t-exponent, sign exponent, i,
     sign exponent, index)`` at ``shift`` 1: the field orders of SeriesTerm
     (after its family) and QSeriesTerm, so each side passes its ``_make``.
 
-    Term i turns the i-th R, in run b, into a U (``_replace_ith_r``); the sign
-    exponent is j = l - b.  At ``shift`` 0 the j rows above run b drop by one
-    and a row i - 1 goes in below them; at ``shift`` 1 they stay and a row
-    i + b goes in.  The t-exponent, |index| - |rows|, is i - 1 - j + shift *
-    (l + 1).  A cursor walks the runs once as i grows, so each term is one
-    C-level copy of the rows.
+    Term i turns the i-th R of the index's word, in run b of its runs
+    (``_index_runs``), into a U: its index is the sup-index (plain) or the
+    bracket-index (shifted), its sign exponent j = l - b.  At ``shift`` 0 the
+    j rows above run b drop by one and a row i - 1 goes in below them; at
+    ``shift`` 1 they stay and a row i + b goes in.  The t-exponent, |index| -
+    |rows|, is i - 1 - j + shift * (l + 1).  A cursor walks the runs once as i
+    grows, so each term is one C-level copy of the rows.
     """
-    rows = _rows(runs, shift)
+    runs = _index_runs(rows, shift)
     above = rows if shift else tuple(r - 1 for r in rows)  # rows above run b, in a term
     l = len(rows)
     t_base = shift * (l + 1) - 1

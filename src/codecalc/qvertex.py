@@ -4,11 +4,11 @@ Products of the degree-n operators here anticommute, and a repeated degree
 annihilates, so straightening an index is signed sorting into a strictly
 decreasing index (possibly with one trailing zero row).  The same result is
 computed two independent ways: by counting out-of-order pairs directly, and by
-rewriting the code word.  The bracket-indexes and the series i-form turn the
-shifted word's i-th R into a U, the row-adding side's rule (``codes._series``):
-read through the staircase U -> UL, that is [HJS]'s U put into the i-th RR
-pair of the plain word.  The code routes read the runs of the index they
-validated (``codes._index_runs``) and build no word.
+rewriting the code word.  The bracket-index lambda^[i] is term i of the
+i-form's walk over the index (``codes._series``), which turns the shifted
+word's i-th R into a U, the row-adding side's rule: read through the staircase
+U -> UL, that is [HJS]'s U put into the i-th RR pair of the plain word.  The
+code routes read the runs of the index they validated and build no word.
 """
 
 from .core import (
@@ -25,7 +25,7 @@ from .core import (
     signed_result,
     validate_composition,
 )
-from .codes import _index_runs, _replace_ith_r, _rows, _series, _signed, _sum_exchanges
+from .codes import _index_runs, _series, _signed, _sum_exchanges
 from .oracle import _signed_sort
 
 
@@ -69,11 +69,9 @@ def yn_action(n: int, lam) -> SignedIndexResult:
 
 def _bracket(lam: Composition, i: int) -> Composition:
     """The i-th bracket-index of a validated strict lam, for ``lambda_bracket``
-    and ``shifted.lambda_bracket_shifted``: a zero row appended at i = 0, else
-    the shifted word's i-th R turned into a U."""
-    if not i:
-        return lam + (0,)
-    return _rows(_replace_ith_r(_index_runs(lam, 1), i), 1)
+    and ``shifted.lambda_bracket_shifted``: term i of the series walk, the
+    shifted word's i-th R made a U (n = i + b <= i + len(lam) keeps it)."""
+    return _series(lam, 1, i, i, i + len(lam), QSeriesTerm._make)[0].index
 
 
 def lambda_bracket(lam, i: int) -> Composition:
@@ -147,4 +145,4 @@ def q_series_i_form(lam, i_max: int) -> list[QSeriesTerm]:
     lam = _validated_strict(lam)
     i_max = check_int(i_max, "i_max", 0, SERIES_MAX)
     # n = i + b is at most i_max + len(lam), so the walk runs to i_max
-    return _series(_index_runs(lam, 1), 1, 0, i_max, i_max + len(lam), QSeriesTerm._make)
+    return _series(lam, 1, 0, i_max, i_max + len(lam), QSeriesTerm._make)

@@ -89,6 +89,21 @@ def test_code_word_rejects_negative_rows():
         codes.CodeWord("RULLU")
 
 
+@pytest.mark.parametrize(
+    "cls, below",
+    [(codes.CodeWord, "has a negative row"), (codes.ShiftedCodeWord, "has a row below 1")],
+)
+def test_a_failing_word_is_quoted_up_to_the_letter_cap(cls, below):
+    # U, k L's, U: the top row is k left of the bottom one, in k + 2 letters
+    k = codes.QUOTED_LETTERS - 2
+    with pytest.raises(InvalidCodeError) as raised:
+        cls("U" + "L" * k + "U")
+    assert str(raised.value) == f"word {'U' + 'L' * k + 'U'!r} {below}"
+    with pytest.raises(InvalidCodeError) as raised:
+        cls("U" + "L" * (k + 1) + "U")
+    assert str(raised.value) == f"word of {k + 3} letters, runs (0, {-k - 1}), {below}"
+
+
 def test_reduce_word_examples():
     assert codes.reduce_word("RLRLU") == "U"
     assert codes.reduce_word("URLLRU") == "UU"
@@ -298,14 +313,24 @@ def test_the_sign_exponent_counts_the_pairs_out_of_order(rule):
 
 @pytest.mark.parametrize("shift", [0, 1], ids=["plain", "shifted"])
 def test_series_walk_refuses_a_new_row_out_of_place(monkeypatch, shift):
-    # The walk stops at the run whose rows straddle the i-th R, so on the rows
-    # of its own runs every new row fits between its neighbours.  Rows read
-    # out of order (here bottom row first) put a new row out of place, and the
-    # walk must raise rather than return a term that is no partition.
-    real = codes._rows
-    monkeypatch.setattr(codes, "_rows", lambda runs, shift=0: real(runs, shift)[::-1])
-    with pytest.raises(codes.InternalInvariantError, match="series term off at i=2"):
-        codes._series((1, 2, 0), shift, 0, 8, 99, lambda *term: term)
+    # The cursor reads the index's runs and each term copies its rows, so on
+    # a valid index every new row fits between its neighbours.  A top run one
+    # unit off moves the cursor one term early or late at the top row of
+    # (4, 2), and the new row comes out one place wrong: on the shifted side
+    # equal to the row above it (+1) or below it (-1), which a neighbour check
+    # weakened by one on either side would let through.  The walk must raise.
+    real = codes._index_runs
+    index = (4, 4, 2) if shift else (3, 4, 2)
+    for off, i in ((1, 5 - 2 * shift), (-1, 4 - 2 * shift)):
+
+        def top_off(rows, shift):
+            runs = real(rows, shift)
+            return runs[:-1] + (runs[-1] + off,)
+
+        monkeypatch.setattr(codes, "_index_runs", top_off)
+        with pytest.raises(codes.InternalInvariantError) as raised:
+            codes._series((4, 2), shift, 0, 8, 99, lambda *term: term)
+        assert str(raised.value) == f"series term off at i={i} for (4, 2): {index}", off
 
 
 @pytest.mark.parametrize(

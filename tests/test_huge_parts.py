@@ -10,7 +10,7 @@ import copy
 import pytest
 
 from codecalc import bernstein, cli, codes, oracle, qvertex, shifted, verify
-from codecalc.core import DomainError, SignedIndexResult
+from codecalc.core import DomainError, InvalidCodeError, SignedIndexResult
 
 M = 10**12
 
@@ -102,6 +102,14 @@ def test_a_word_of_the_other_style_at_a_huge_part_is_read_by_its_runs():
     assert shifted.shifted_straighten(plain) == SignedIndexResult(1, (M + 2, 2))
     # the shifted runs of (M, 2), (1, M - 3), read plain are rows (M - 2, 1)
     assert shifted.preshift(shifted.encode_shifted((M, 2))).runs == (0, M - 4)
+
+
+@pytest.mark.parametrize("route", [codes.decode_code, codes.straighten_code, shifted.preshift])
+def test_an_invalid_word_of_the_other_style_at_a_huge_part_is_named_by_its_runs(route):
+    # the shifted runs of (1, M), (M - 1, -M), read plain end M left of the
+    # origin: the error names the runs, not the 2M + 1 letters
+    with pytest.raises(InvalidCodeError, match=rf"runs \({M - 1}, -{M}\), has a negative row$"):
+        route(shifted.encode_shifted((1, M)))
 
 
 @pytest.mark.parametrize("method", ["shifted", "all"])

@@ -67,27 +67,36 @@ def _raises(error):
     return breaker
 
 
+def _shift_walk(real):
+    # the series walk one term on: term i + 1 where term i was asked for
+    return lambda rows, shift, i_min, i_max, t_max, term: real(
+        rows, shift, i_min + 1, i_max + 1, t_max, term
+    )
+
+
 def _one_more_flip(real):
     # the series walk with one more sign flip on every term
-    return lambda runs, shift, i_min, i_max, t_max, term: real(
-        runs, shift, i_min, i_max, t_max, lambda i, t_exp, j, index: term(i, t_exp, j + 1, index)
+    return lambda rows, shift, i_min, i_max, t_max, term: real(
+        rows, shift, i_min, i_max, t_max, lambda i, t_exp, j, index: term(i, t_exp, j + 1, index)
     )
 
 
 BROKEN_ROUTES = [
-    # (module, attribute, how to break it, suite, op whose check must fail);
-    # _replace_ith_r takes a word's runs, the shared bracket route an index.
+    # (module, attribute, how to break it, suite, op whose check must fail).
     # The shared routes are broken where each side imports them, and each
-    # side's own reference must catch the fault.  _index_runs turns the rows
-    # of the index a bernstein or qvertex route validated into runs, with no
-    # encode_code on the way, so each side checks it through its own routes.
+    # side's own reference must catch the fault.  The series walk _series
+    # takes an index; its term i is the sup-index (lambda_sup) and the
+    # bracket-index (_bracket).  _index_runs turns the rows of a validated
+    # index into runs, with no encode_code on the way; bn_action reads them
+    # in bernstein, straighten_Y_code in qvertex, and the walk in codes.
     (bernstein, "_index_runs", _row_up, verify.verify_bernstein, "action_straighten"),
-    (qvertex, "_index_runs", _row_up, verify.verify_qvertex, "bracket_code"),
-    (bernstein, "_replace_ith_r", _shift_i, verify.verify_bernstein, "sup_code"),
+    (qvertex, "_index_runs", _row_up, verify.verify_qvertex, "straighten_Y"),
+    (codes, "_index_runs", _row_up, verify.verify_bernstein, "sup_code"),
     (qvertex, "_bracket", _shift_i, verify.verify_qvertex, "bracket_code"),
     (shifted, "_bracket", _shift_i, verify.verify_shifted, "bracket_shifted"),
     (bernstein, "_series", _one_more_flip, verify.verify_bernstein, "series_action"),
     (qvertex, "_series", _one_more_flip, verify.verify_qvertex, "series_forms"),
+    (bernstein, "_series", _shift_walk, verify.verify_bernstein, "sup_code"),
     (
         codes,
         "encode_code",
@@ -107,10 +116,17 @@ BROKEN_ROUTES = [
 ]
 
 
+def _route_ids(routes):
+    # module.attribute, with the op added where an attribute is broken again
+    ids = []
+    for module, name, *_, op in routes:
+        route = f"{module.__name__.split('.')[-1]}.{name}"
+        ids.append(f"{route}-{op}" if route in ids else route)
+    return ids
+
+
 @pytest.mark.parametrize(
-    "module,name,breaker,suite,op",
-    BROKEN_ROUTES,
-    ids=[f"{m.__name__.split('.')[-1]}.{n}" for m, n, *_ in BROKEN_ROUTES],
+    "module,name,breaker,suite,op", BROKEN_ROUTES, ids=_route_ids(BROKEN_ROUTES)
 )
 def test_suite_reports_broken_route(monkeypatch, module, name, breaker, suite, op):
     assert suite(3, 3).ok
