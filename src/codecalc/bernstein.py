@@ -25,7 +25,7 @@ from .core import (
     is_partition,
     validate_composition,
 )
-from .codes import _index_runs, _series, _signed, _sum_exchanges
+from .codes import _index_of, _index_runs, _series, _signed, _sum_exchanges
 
 
 def _validated_partition(parts) -> Composition:
@@ -61,7 +61,7 @@ def lambda_sup(lam, i: int) -> Composition:
     """
     lam = _validated_partition(lam)
     i = check_int(i, "sup-index position", 1)
-    return _series(lam, 0, i, i, i, _schur_term)[0].index
+    return _series(lam, 0, i, i, i, _index_of)[0]
 
 
 def r_index(lam, i: int) -> int:

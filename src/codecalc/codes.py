@@ -216,7 +216,8 @@ def _series(rows, shift: int, i_min: int, i_max: int, t_max: int, term) -> list:
     whose t-exponent passes t_max.  A term is ``term(i, t-exponent, sign
     exponent, index)`` at ``shift`` 0 and ``term(t-exponent, sign exponent, i,
     sign exponent, index)`` at ``shift`` 1: the field orders of SeriesTerm
-    (after its family) and QSeriesTerm, so each side passes its ``_make``.
+    (after its family) and QSeriesTerm, so each side passes its ``_make``;
+    the index routes pass ``_index_of``.
 
     Term i turns the i-th R of the index's word, in run b of its runs
     (``_index_runs``), into a U: its index is the sup-index (plain) or the
@@ -247,6 +248,11 @@ def _series(rows, shift: int, i_min: int, i_max: int, t_max: int, term) -> list:
             raise InternalInvariantError(f"series term off at i={i} for {rows!r}: {index!r}")
         terms.append(term(t_exp, j, i, j, index) if shift else term(i, t_exp, j, index))
     return terms
+
+
+def _index_of(*fields):
+    """A term of ``_series`` that is its index alone, the last field on both sides."""
+    return fields[-1]
 
 
 def _exchanged(runs, i: int, left: int, right: int, j: int, rest: int):

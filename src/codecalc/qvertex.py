@@ -25,7 +25,7 @@ from .core import (
     signed_result,
     validate_composition,
 )
-from .codes import _index_runs, _series, _signed, _sum_exchanges
+from .codes import _index_of, _index_runs, _series, _signed, _sum_exchanges
 from .oracle import _signed_sort
 
 
@@ -71,7 +71,7 @@ def _bracket(lam: Composition, i: int) -> Composition:
     """The i-th bracket-index of a validated strict lam, for ``lambda_bracket``
     and ``shifted.lambda_bracket_shifted``: term i of the series walk, the
     shifted word's i-th R made a U (n = i + b <= i + len(lam) keeps it)."""
-    return _series(lam, 1, i, i, i + len(lam), QSeriesTerm._make)[0].index
+    return _series(lam, 1, i, i, i + len(lam), _index_of)[0]
 
 
 def lambda_bracket(lam, i: int) -> Composition:

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import importlib
 import json
-import subprocess
-import sys
+import re
 import time
 from pathlib import Path
 
 import pytest
 
+import child
 import codecalc
+from child import JSON_PACKAGE
 from codecalc import cli, codes, shifted, verify
 from codecalc.cli import main
 from codecalc.core import SignedIndexResult, canonical_json
@@ -405,6 +406,11 @@ def test_verify_deeply_nested_corpus_line_is_a_failure(tmp_path, capsys):
     failures = [json.loads(line) for line in failures]
     assert failures[0]["input"] == {"line": 1}
     assert failures[1]["input"]["line"] == 2
+    # the same file in a fresh process, where every warning raises
+    argv = ("verify", "--suite", "corpus", "--file", str(path))
+    proc = child.run("-m", "codecalc", *argv, env=child.WARNINGS_ERROR)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout.startswith("suite=corpus cases=2 failures=2")
 
 
 def test_verify_factorial_corpus_line_is_a_failure(tmp_path, capsys):
@@ -421,45 +427,74 @@ def test_verify_factorial_corpus_line_is_a_failure(tmp_path, capsys):
     assert json.loads(failure)["got"] == "DomainError: a bialternant takes at most 8 exponents, got 13"
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "codecalc", "straighten", "--algebra", "b", "1,3,1,6,2"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "+1 * B[3,3,3,2,2]\n"
+# main(None) reads sys.argv[1:], answers a plain argv of a known command from
+# its table and leaves any other to argparse; only a new process reaches that
+# branch, errors included.  A row: argv, stdout, exit code and a pattern of the
+# whole stderr; every warning raises in the child
+FRESH = [
+    child.case("straighten --algebra b 1,3,1,6,2", "+1 * B[3,3,3,2,2]\n"),
+    child.case("act --algebra b -n -1 --index 2", "-1 * B[1,0]\n"),
+    child.case("straighten --alg b 1,3,1,6,2", "+1 * B[3,3,3,2,2]\n"),
+    # every method of an algebra, checked against the first; Q on a zero row drops shifted
+    child.case("straighten --algebra b --method all 1,3,1,6,2", "+1 * B[3,3,3,2,2]\n"),
+    child.case("straighten --algebra q --method all 0,1", "-1 * Q[1,0]\n"),
+    # a repeated 0 annihilates on the Q side (README)
+    child.case("straighten --algebra q --method all 1,0,0", "0\n"),
+    child.case(
+        "straighten --algebra q --method all --format json 3,1,2", '{"index":[3,2,1],"sign":-1}\n'
+    ),
+    # canonical JSON through this Python's encoder path, byte for byte
+    child.case(
+        "straighten --algebra b --format json 1,3,1,6,2", '{"index":[3,3,3,2,2],"sign":1}\n'
+    ),
+    child.case("code --decode RURUURRU --format json", '{"index":[4,2,2,1]}\n'),
+    child.case("code --index 4,2,2,1 --format json", '{"letters":"RURUURRU"}\n'),
+    child.case(
+        "series --algebra q --index 3,1 --i-max 2 --format json",
+        '{"terms":[{"family":"schurQ","i":0,"index":[3,1,0],"j":2,"sign_exp":2,"t_exp":0},'
+        '{"family":"schurQ","i":1,"index":[3,2,1],"j":1,"sign_exp":1,"t_exp":2},'
+        '{"family":"schurQ","i":2,"index":[4,3,1],"j":0,"sign_exp":0,"t_exp":4}]}\n',
+    ),
+    # the window stops at term i = 4, the first t-exponent (3) past --n-max
+    child.case(
+        "series --algebra b --index 3,1 --n-max 1 --format json",
+        '{"terms":[{"family":"schur","i":1,"index":[2,0,0],"sign_exp":2,"t_exp":-2},'
+        '{"family":"schur","i":2,"index":[2,1,1],"sign_exp":1,"t_exp":0},'
+        '{"family":"schur","i":3,"index":[2,2,1],"sign_exp":1,"t_exp":1}]}\n',
+    ),
+    child.case("frobnicate", "", 1, "error: .*\n"),
+    # a known command that the table refuses goes to the top-level parse
+    child.case("straighten 1,2", "", 1, "error: the following arguments are required: --algebra\n"),
+]
+# each JSON answer again with _json blocked, so canonical_json takes json's Python encoder
+NO_C_JSON = (
+    "import sys; sys.modules['_json'] = None; from codecalc import cli; "
+    "sys.exit(cli.main(sys.argv[1:]))"
+)
 
 
-def test_cli_start_does_not_import_verify():
-    script = (
-        "import sys, codecalc.cli; "
-        "codecalc.cli.main(['straighten', '--algebra', 'b', '1,3']); "
-        "print('codecalc.verify' in sys.modules)"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stdout == "-1 * B[2,2]\nFalse\n"
+@pytest.mark.parametrize(
+    "args,out,code,err",
+    FRESH
+    + [
+        pytest.param(("-c", NO_C_JSON, *p.values[0][2:]), *p.values[1:], id=f"no _json: {p.id}")
+        for p in FRESH
+        if "json" in p.id
+    ],
+)
+def test_a_fresh_process_answers_from_sys_argv(args, out, code, err):
+    proc = child.run(*args, env=child.WARNINGS_ERROR)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert re.fullmatch(err, proc.stderr), proc.stderr
 
 
-def _start(body):
-    """Run body in a fresh interpreter: its stdout lines, and the modules it
-    loaded that a bare interpreter does not, so site-installed extras do not count."""
-
-    def run(code):
-        script = f"import sys\n{code}\nprint(*sorted(sys.modules))"
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        *out, modules = proc.stdout.splitlines()
-        return out, set(modules.split())
-
-    out, loaded = run(body)
-    return out, loaded - run("pass")[1]
+# no start of the package or the bench imports these
+NEVER = {"__future__", "dataclasses", "inspect"}
 
 
 def test_cold_bench_start_imports_only_core_and_codes():
     cold = str(Path(__file__).resolve().parents[1] / "bench" / "cold.py")
-    out, new = _start(
+    out, new = child.start(
         "sys.argv[1:] = ['1,3']\n"
         f"with open({cold!r}) as f:\n"
         f"    exec(compile(f.read(), {cold!r}, 'exec'), {{'__name__': '__main__'}})"
@@ -470,14 +505,15 @@ def test_cold_bench_start_imports_only_core_and_codes():
         "codecalc.core",
         "codecalc.codes",
     }
-    assert not new & {"dataclasses", "inspect"}
+    assert not new & NEVER
     # the JSON answer runs on the C encoder alone, not on the json package
     assert "_json" in new and not new & JSON_PACKAGE
 
 
 def _cli_start(*argv):
-    """_start of ``python -m codecalc argv``, which must exit 0."""
-    return _start(
+    """child.start of ``python -m codecalc argv``, which must exit 0 and load
+    none of NEVER."""
+    out, new = child.start(
         "import runpy\n"
         f"sys.argv[1:] = {list(argv)!r}\n"
         "try:\n"
@@ -485,12 +521,12 @@ def _cli_start(*argv):
         "except SystemExit as stop:\n"
         "    assert stop.code == 0"
     )
+    assert not new & NEVER
+    return out, new
 
 
 # the modules of the routes a plain B straighten does not run
 ROUTE_MODULES = {"codecalc.bernstein", "codecalc.oracle", "codecalc.qvertex", "codecalc.shifted"}
-# the json package; JSON output needs only its C module, _json
-JSON_PACKAGE = {"json", "json.decoder", "json.encoder", "json.scanner"}
 
 
 def test_cli_start_imports_neither_dataclasses_nor_verify():

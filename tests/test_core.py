@@ -8,15 +8,15 @@ import itertools
 import json
 import pickle
 import re
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import child
 import codecalc
+from child import JSON_PACKAGE
 from codecalc import bernstein, codes, core, oracle, qvertex, shifted
-from test_cli import JSON_PACKAGE, _start
 
 
 class MyInt(int):
@@ -279,7 +279,7 @@ def test_canonical_json_matches_json_dumps(monkeypatch, c_encoder):
         "with pytest.MonkeyPatch.context() as patch:\n"
         "    test_core._canonical_json_matches_json_dumps(patch, c_encoder=False)"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = child.run("-c", script)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -334,7 +334,7 @@ def test_a_cycle_raises_value_error_at_any_recursion_limit(limit):
         "        print(exc)\n"
         "print(canonical_json([loop[0]]))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = child.run("-c", script)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "Circular reference detected\n" * 4 + "[1]\n"
 
@@ -342,7 +342,7 @@ def test_a_cycle_raises_value_error_at_any_recursion_limit(limit):
 def test_an_answer_loads_only_the_c_encoder_and_a_cycle_loads_json():
     # the modules loaded after the answer, as a line, and at the end, less a
     # bare interpreter's; json loads only for json.dumps, on the cycle
-    out, new = _start(
+    out, new = child.start(
         "from codecalc.core import canonical_json\n"
         "print(canonical_json({'sign': -1, 'index': [3, 3, 0]}))\n"
         "print(*sorted(sys.modules))\n"

@@ -9,6 +9,7 @@ import copy
 
 import pytest
 
+import child
 from codecalc import bernstein, cli, codes, oracle, qvertex, shifted, verify
 from codecalc.core import DomainError, InvalidCodeError, SignedIndexResult
 
@@ -133,3 +134,70 @@ OVERFLOWING = [
 def test_a_letter_count_past_the_index_size_ends_in_an_error_line(capsys, argv):
     assert cli.main(argv) == 1
     assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
+def _api(name, *lines, out=""):
+    return pytest.param(("-c", "\n".join(lines)), out, 0, "", id=name)
+
+
+# The CLI and the word routes at a part of 1e11 in a fresh process bounded to
+# 400,000 KiB of address space (``ulimit -v 400000``) and 10 s: one letter per
+# column would end them in "error: out of memory" or a MemoryError.  A row:
+# the child's arguments, its stdout, exit code and stderr.
+BOUNDED = [
+    child.case(
+        "straighten --algebra b 1,100000000000,2,50000000000",
+        "-1 * B[99999999999,49999999998,3,3]\n",
+    ),
+    # the word entry straightens an encoded word from its runs
+    _api(
+        "straighten_code",
+        "from codecalc import encode_code as e, straighten_code as s",
+        "r = s(e((1, 10**11, 2, 5 * 10**10)))",
+        "assert (r.sign, r.index) == (-1, (99999999999, 49999999998, 3, 3))",
+    ),
+    # a word of the other style is checked on its runs, not spelled out and re-read
+    _api(
+        "other style",
+        "from codecalc import decode_code as d, encode_shifted as e, preshift as p",
+        "assert d(e((10**11, 1))) == (99999999998, 0)",
+        "assert p(e((10**11, 2))).runs == (0, 99999999996)",
+    ),
+    # an invalid one is refused by its runs: its error does not spell out 2e11 letters
+    _api(
+        "other style, invalid",
+        "from codecalc import InvalidCodeError, decode_code, encode_shifted",
+        "try: decode_code(encode_shifted((1, 10**11)))",
+        "except InvalidCodeError as exc: print(exc)",
+        out="word of 200000000001 letters, runs (99999999999, -100000000000), has a negative row\n",
+    ),
+    child.case(
+        "series --algebra b --index 100000000000 --i-max 3",
+        "-t^-1 * B[99999999999,0]\n-t^0 * B[99999999999,1]\n-t^1 * B[99999999999,2]\n",
+    ),
+    child.case("straighten --algebra q --method all 1,100000000000", "-1 * Q[100000000000,1]\n"),
+    # the Q i-form walks the shifted word's runs; no term at n = 5, then the sign turns
+    child.case(
+        "series --algebra q --index 100000000000,5 --i-max 7",
+        "+t^0 * Q[100000000000,5,0]\n+t^1 * Q[100000000000,5,1]\n+t^2 * Q[100000000000,5,2]\n"
+        "+t^3 * Q[100000000000,5,3]\n+t^4 * Q[100000000000,5,4]\n-t^6 * Q[100000000000,6,5]\n"
+        "-t^7 * Q[100000000000,7,5]\n-t^8 * Q[100000000000,8,5]\n",
+    ),
+    child.case("act --algebra b -n 5 --index 100000000000", "-1 * B[99999999999,6]\n"),
+    child.case("act --algebra b -n -1 --index 100000000000", "-1 * B[99999999999,0]\n"),
+    # a copy is the word itself; one rebuilt from its letters would render 1e11 of them
+    _api(
+        "copy",
+        "import copy; from codecalc import encode_code as e; w = e((10**11, 1))",
+        "assert copy.copy(w) is w and copy.deepcopy(w) is w",
+    ),
+    # a part of 2**63 on a letter path overflows "R" * d: an error line, not a traceback
+    child.case("code --index 9223372036854775808", "", 1, "error: out of memory\n"),
+]
+
+
+@pytest.mark.skipif(child.resource is None, reason="no resource module to bound the child's memory")
+@pytest.mark.parametrize("args,out,code,err", BOUNDED)
+def test_a_huge_part_answers_in_bounded_memory(args, out, code, err):
+    proc = child.run(*args, memory_kib=400_000)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import importlib
 import json
-import subprocess
 import sys
 import types
 
 import pytest
 
+import child
 import codecalc
 from codecalc import ops, qvertex, verify
 from codecalc.core import canonical_json
@@ -95,7 +95,7 @@ qvertex.q_series_j_form = real
 print(ops.run("q_series_j_form", args))
 print(codecalc._load("q_series_j_form") is real)
 """
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = child.run("-c", script)
     assert proc.returncode == 0, proc.stderr
     patched, answer, kept = proc.stdout.splitlines()
     assert patched == "{'terms': []}"  # the patch answered the first call
