@@ -9,7 +9,6 @@ variable) switches to canonical one-line JSON.
 import functools
 import os
 import sys
-from types import SimpleNamespace
 
 from . import _load, ops
 from .core import (
@@ -24,8 +23,16 @@ from .core import (
     validate_composition,
 )
 
-# verify.SUITES' names, spelled out so that a CLI start does not import verify
-_SUITES = ("codes", "bernstein", "qvertex", "shifted", "oracle", "corpus")
+# verify.SUITES in its order, each with the flags its arguments are read from,
+# passed in order; spelled out so that a CLI start does not import verify
+_SUITES = {
+    "codes": ("max_part", "max_len"),
+    "bernstein": ("max_part", "max_len"),
+    "qvertex": ("max_part", "max_len", "n_max"),  # --n-max: the window pad
+    "shifted": ("max_part", "max_len", "i_max"),  # --i-max: the bracket positions
+    "oracle": ("max_part", "max_len"),
+    "corpus": ("file",),
+}
 
 
 def _is_int(text: str) -> bool:
@@ -44,15 +51,12 @@ def _int(text: str) -> int:
 _int.__name__ = "int"  # argparse names the type in "invalid int value: ..."
 
 
-def _resolve_format(args) -> str:
-    if args.format:
-        return args.format
-    env = os.environ.get("CODECALC_FORMAT", "")
-    if env:
-        if env not in ("text", "json"):
-            raise ParseError(f"CODECALC_FORMAT must be 'text' or 'json', not {env!r}")
-        return env
-    return "text"
+def _env_format() -> str:
+    """The format when --format is not given: CODECALC_FORMAT's, else text."""
+    env = os.environ.get("CODECALC_FORMAT") or "text"
+    if env not in ("text", "json"):
+        raise ParseError(f"CODECALC_FORMAT must be 'text' or 'json', not {env!r}")
+    return env
 
 
 def _signed(negative, power: str, letter: str, index) -> str:
@@ -76,16 +80,16 @@ def _text(result: dict, letter: str) -> str:
 
 
 def _print(args, result: dict, letter: str = "") -> int:
-    text = _text(result, letter) if args.format == "text" else canonical_json(result) + "\n"
+    text = _text(result, letter) if args["format"] == "text" else canonical_json(result) + "\n"
     sys.stdout.write(text)
     return 0
 
 
 def _cmd_code(args) -> int:
-    style = "shifted" if args.shifted else "code"
-    if args.letters is not None:
-        return _print(args, ops.run(f"decode_{style}", vars(args)))
-    return _print(args, ops.run(f"encode_{style}", {"index": parse_index(args.index)}))
+    style = "shifted" if args["shifted"] else "code"
+    if args["letters"] is not None:
+        return _print(args, ops.run(f"decode_{style}", args))
+    return _print(args, ops.call(f"encode_{style}", parse_index(args["index"])))
 
 
 # --algebra -> --method -> (op, the encoder op whose word it takes, or None)
@@ -104,19 +108,17 @@ _METHODS = {
 
 
 def _cmd_straighten(args) -> int:
-    mu = parse_index(args.index)
-    methods = _METHODS[args.algebra]
-    if args.method == "all":
+    mu, algebra, method = parse_index(args["index"]), args["algebra"], args["method"]
+    methods = _METHODS[algebra]
+    if method == "all":
         chosen = dict(methods)  # a copy: the shared table is never edited
-        if args.algebra == "q" and any(p < 1 for p in mu):
+        if algebra == "q" and any(p < 1 for p in mu):
             del chosen["shifted"]  # shifted codes carry positive rows only
-    elif args.method in methods:
-        chosen = {args.method: methods[args.method]}
+    elif method in methods:
+        chosen = {method: methods[method]}
     else:
-        raise ParseError(
-            f"method {args.method!r} is not available with --algebra {args.algebra}"
-        )
-    if args.algebra == "b":
+        raise ParseError(f"method {method!r} is not available with --algebra {algebra}")
+    if algebra == "b":
         validate_composition(mu)  # B rows are nonnegative for every method, the oracle too
     results = {}
     for name, (op, encoder) in chosen.items():
@@ -126,47 +128,44 @@ def _cmd_straighten(args) -> int:
     for value in values:
         if value != first:
             raise InternalInvariantError(f"straightening methods disagree: {results!r}")
-    return _print(args, first, args.algebra.upper())
+    return _print(args, first, algebra.upper())
 
 
 def _cmd_act(args) -> int:
-    args.index = parse_index(args.index)
-    op = "bn_action" if args.algebra == "b" else "yn_action"
-    return _print(args, ops.run(op, vars(args)), args.algebra.upper())
+    args["index"] = parse_index(args["index"])
+    op = "bn_action" if args["algebra"] == "b" else "yn_action"
+    return _print(args, ops.run(op, args), args["algebra"].upper())
 
 
 def _cmd_series(args) -> int:
-    args.index = parse_index(args.index)
-    if (args.i_max is None) == (args.n_max is None):
+    args["index"] = parse_index(args["index"])
+    if (args["i_max"] is None) == (args["n_max"] is None):
         raise ParseError("series needs exactly one of --i-max or --n-max")
-    if args.algebra == "b":
-        op = "bernstein_series" if args.n_max is None else "bernstein_series_window"
+    if args["algebra"] == "b":
+        op = "bernstein_series" if args["n_max"] is None else "bernstein_series_window"
     else:
-        op = "q_series_i_form" if args.n_max is None else "q_series_j_form"
-    return _print(args, ops.run(op, vars(args)), args.algebra.upper())
+        op = "q_series_i_form" if args["n_max"] is None else "q_series_j_form"
+    return _print(args, ops.run(op, args), args["algebra"].upper())
 
 
 def _cmd_verify(args) -> int:
     from . import verify  # imported here so that no other command loads it at start
     for name, top in verify.RANGE_MAX.items():
-        check_int(getattr(args, name), name, 0, top)
-    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
+        check_int(args[name], name, 0, top)
+    names = list(_SUITES) if args["suite"] == "all" else [args["suite"]]
+
+    def sweep(name):
+        return verify.SUITES[name](*[args[flag] for flag in _SUITES[name]])
+
     # the corpus suite runs first, so an unreadable file ends the run before any output
-    corpus = verify.verify_corpus(args.file) if "corpus" in names else None
-    out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
+    corpus = sweep("corpus") if "corpus" in names else None
+    out = sys.stdout if args["output"] == "-" else open(args["output"], "w", encoding="utf-8")
     try:
         all_ok = True
         for name in names:
-            if name == "corpus":
-                report = corpus
-            elif name == "qvertex":
-                report = verify.SUITES[name](args.max_part, args.max_len, window_pad=args.n_max)
-            elif name == "shifted":
-                report = verify.SUITES[name](args.max_part, args.max_len, args.i_max)
-            else:
-                report = verify.SUITES[name](args.max_part, args.max_len)
+            report = corpus if name == "corpus" else sweep(name)
             all_ok = all_ok and report.ok
-            if args.format == "json":
+            if args["format"] == "json":
                 print(
                     canonical_json(
                         {
@@ -274,7 +273,7 @@ _COMMANDS = {
         _cmd_verify,
         [],
         [
-            _option("--suite", dest="suite", choices=_SUITES + ("all",), default="all"),
+            _option("--suite", dest="suite", choices=(*_SUITES, "all"), default="all"),
             _option("--max-part", dest="max_part", type=_int, default=4),
             _option("--max-len", dest="max_len", type=_int, default=3),
             _option("--i-max", dest="i_max", type=_int, default=10),
@@ -325,7 +324,7 @@ def _plain(arg: str) -> bool:
 
 
 def _match(table, args):
-    """The namespace the command's parse_args gives for args in plain form, else None.
+    """The dict vars(parse_args) gives for the command's args in plain form, else None.
 
     Plain: exact option strings, --long=value, values for which _plain holds,
     each dest at most once, every required dest, and one dest of the exclusive
@@ -367,7 +366,7 @@ def _match(table, args):
         values[dest] = value
     if not required <= values.keys() or (exclusive and len(exclusive & values.keys()) != 1):
         return None
-    return SimpleNamespace(**{**defaults, **values})
+    return {**defaults, **values}
 
 
 # Built on first use, for an argv that _match refuses and for help, and shared
@@ -402,9 +401,9 @@ def main(argv=None) -> int:
         table = _TABLES.get(argv[0]) if argv else None
         args = _match(table, argv[1:]) if table else None
         if args is None:
-            args = _build_parser().parse_args(argv)
-        args.format = _resolve_format(args)
-        return args.handler(args)
+            args = vars(_build_parser().parse_args(argv))
+        args["format"] = args["format"] or _env_format()
+        return args["handler"](args)
     except (ParseError, DomainError, InvalidCodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,12 +1,18 @@
-"""The one runner for tests that need a fresh interpreter: for what a start or
-a first call decides, and for a memory bound that must not limit the tests."""
+"""The test runners of the command line: ``run`` for tests that need a fresh
+interpreter, for what a start or a first call decides and for a memory bound
+that must not limit the tests, and ``in_process`` for ``cli.main`` in this one."""
 
+import contextlib
 import functools
+import io
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+
+from codecalc import cli
 
 try:
     import resource
@@ -31,6 +37,28 @@ def run(*args, timeout=10, env=None, memory_kib=None):
     return subprocess.run(
         cmd, capture_output=True, text=True, timeout=timeout, env=env, preexec_fn=limit
     )
+
+
+def in_process(*argv, env=None, argparse_only=False):
+    """``cli.main(argv)`` in this process, ended as a process would end it: the
+    exit code, or ("SystemExit", code) for help, with stdout and stderr.  ``env``
+    is CODECALC_FORMAT's value, None to unset it; ``argparse_only`` leaves every
+    argv to argparse, as if no command table took it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.dict(os.environ))
+        os.environ.pop("CODECALC_FORMAT", None)
+        if env is not None:
+            os.environ["CODECALC_FORMAT"] = env
+        if argparse_only:
+            stack.enter_context(mock.patch.object(cli, "_match", lambda table, args: None))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
 
 
 def case(argv, out, code=0, err=""):

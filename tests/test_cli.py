@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import importlib
+import inspect
 import json
 import re
 import time
@@ -14,16 +16,7 @@ import child
 import codecalc
 from child import JSON_PACKAGE
 from codecalc import cli, codes, shifted, verify
-from codecalc.cli import main
 from codecalc.core import SignedIndexResult, canonical_json
-
-
-def _run(capsys, *argv, env_format=None, monkeypatch=None):
-    if env_format is not None:
-        monkeypatch.setenv("CODECALC_FORMAT", env_format)
-    code = main(list(argv))
-    out = capsys.readouterr()
-    return code, out.out, out.err
 
 
 GOLDEN_TEXT = [
@@ -52,52 +45,39 @@ GOLDEN_TEXT = [
 
 
 @pytest.mark.parametrize("argv,expected", GOLDEN_TEXT)
-def test_golden_text(capsys, argv, expected):
-    code, out, err = _run(capsys, *argv)
+def test_golden_text(argv, expected):
+    code, out, err = child.in_process(*argv)
     assert code == 0 and err == ""
     assert out == expected
 
 
-def test_json_output_and_round_trip(capsys):
-    code, out, _ = _run(capsys, "straighten", "--algebra", "b", "--format", "json", "1,3,1,6,2")
+def test_json_output_and_round_trip():
+    code, out, _ = child.in_process("straighten", "--algebra", "b", "--format", "json", "1,3,1,6,2")
     assert code == 0
     assert out == '{"index":[3,3,3,2,2],"sign":1}\n'
     assert canonical_json(json.loads(out)) + "\n" == out
 
-    code, out, _ = _run(capsys, "straighten", "--algebra", "b", "--format", "json", "2,3")
+    code, out, _ = child.in_process("straighten", "--algebra", "b", "--format", "json", "2,3")
     assert out == '{"zero":true}\n'
 
-    code, out, _ = _run(
-        capsys, "series", "--algebra", "q", "--index", "2", "--n-max", "3", "--format", "json"
+    code, out, _ = child.in_process(
+        "series", "--algebra", "q", "--index", "2", "--n-max", "3", "--format", "json"
     )
     parsed = json.loads(out)
     assert [t["index"] for t in parsed["terms"]] == [[2, 0], [2, 1], [3, 2]]
     assert canonical_json(parsed) + "\n" == out
 
 
-def test_env_var_selects_format(capsys, monkeypatch):
-    code, out, _ = _run(
-        capsys, "code", "--index", "2,0", env_format="json", monkeypatch=monkeypatch
-    )
+def test_env_var_selects_format():
+    code, out, _ = child.in_process("code", "--index", "2,0", env="json")
     assert code == 0 and out == '{"letters":"URRU"}\n'
     # explicit flag wins over the environment
-    code, out, _ = _run(
-        capsys,
-        "code",
-        "--index",
-        "2,0",
-        "--format",
-        "text",
-        env_format="json",
-        monkeypatch=monkeypatch,
-    )
+    code, out, _ = child.in_process("code", "--index", "2,0", "--format", "text", env="json")
     assert code == 0 and out == "URRU\n"
 
 
-def test_bad_env_var_is_a_usage_error(capsys, monkeypatch):
-    code, _, err = _run(
-        capsys, "code", "--index", "1", env_format="bogus", monkeypatch=monkeypatch
-    )
+def test_bad_env_var_is_a_usage_error():
+    code, _, err = child.in_process("code", "--index", "1", env="bogus")
     assert code == 1 and "CODECALC_FORMAT" in err
 
 
@@ -111,24 +91,24 @@ USAGE_ERRORS = [
 ]
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1():
     for argv in USAGE_ERRORS:
-        assert _run(capsys, *argv)[0] == 1, argv
+        assert child.in_process(*argv)[0] == 1, argv
 
 
-def test_domain_errors_exit_1(capsys):
-    assert _run(capsys, "act", "--algebra", "q", "-n", "-1", "--index", "3")[0] == 1
-    assert _run(capsys, "act", "--algebra", "b", "-n", "1", "--index", "1,2")[0] == 1
-    assert _run(capsys, "code", "--decode", "RL")[0] == 1
-    assert _run(capsys, "straighten", "--algebra", "b", "1,x")[0] == 1
+def test_domain_errors_exit_1():
+    assert child.in_process("act", "--algebra", "q", "-n", "-1", "--index", "3")[0] == 1
+    assert child.in_process("act", "--algebra", "b", "-n", "1", "--index", "1,2")[0] == 1
+    assert child.in_process("code", "--decode", "RL")[0] == 1
+    assert child.in_process("straighten", "--algebra", "b", "1,x")[0] == 1
 
 
-def test_out_of_memory_is_an_error_line(capsys, monkeypatch):
+def test_out_of_memory_is_an_error_line(monkeypatch):
     def exhausted(parts):
         raise MemoryError  # what encoding a part too large for memory ends in
 
     monkeypatch.setattr(codes, "straighten_B", exhausted)
-    assert _run(capsys, "straighten", "--algebra", "b", "100000000000") == (
+    assert child.in_process("straighten", "--algebra", "b", "100000000000") == (
         1,
         "",
         "error: out of memory\n",
@@ -138,9 +118,9 @@ def test_out_of_memory_is_an_error_line(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "algebra,window", [("b", "--i-max"), ("b", "--n-max"), ("q", "--i-max"), ("q", "--n-max")]
 )
-def test_series_beyond_the_cap_is_an_error(capsys, algebra, window):
-    code, out, err = _run(
-        capsys, "series", "--algebra", algebra, "--index", "1", window, "100000000"
+def test_series_beyond_the_cap_is_an_error(algebra, window):
+    code, out, err = child.in_process(
+        "series", "--algebra", algebra, "--index", "1", window, "100000000"
     )
     assert code == 1 and out == ""
     assert err == f"error: {window[2:].replace('-', '_')} must be at most 10000, got 100000000\n"
@@ -164,14 +144,14 @@ INT_VALUES = ["\u0663", "\uff13", "1_0", "+2", " 2", "2\n"]
 @pytest.mark.parametrize(
     "value", INT_VALUES, ids=["arabic-indic", "fullwidth", "underscore", "plus", "space", "newline"]
 )
-def test_integer_flags_take_ascii_digits_only(capsys, prefix, value):
-    code, out, err = _run(capsys, *prefix, value)
+def test_integer_flags_take_ascii_digits_only(prefix, value):
+    code, out, err = child.in_process(*prefix, value)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.endswith(f"invalid int value: {value!r}\n")
 
 
-def test_method_all_skips_shifted_on_zero_rows(capsys):
-    code, out, _ = _run(capsys, "straighten", "--algebra", "q", "--method", "all", "0,2")
+def test_method_all_skips_shifted_on_zero_rows():
+    code, out, _ = child.in_process("straighten", "--algebra", "q", "--method", "all", "0,2")
     assert code == 0 and out == "-1 * Q[2,0]\n"
 
 
@@ -185,9 +165,9 @@ def test_method_all_skips_shifted_on_zero_rows(capsys):
         ("shifted", (1, "", "error: index entry 0 is below the allowed minimum 1\n")),
     ],
 )
-def test_q_methods_on_two_zero_rows(capsys, method, expected, index):
+def test_q_methods_on_two_zero_rows(method, expected, index):
     # two zero rows annihilate on the Q side (README); shifted words take positive rows only
-    assert _run(capsys, "straighten", "--algebra", "q", "--method", method, index) == expected
+    assert child.in_process("straighten", "--algebra", "q", "--method", method, index) == expected
 
 
 def _home(op):
@@ -202,23 +182,23 @@ def _home(op):
         ("q", "straighten_Y_perm", "2,3", (1, (3, 2))),
     ],
 )
-def test_disagreeing_methods_are_an_internal_error(capsys, monkeypatch, algebra, op, index, result):
+def test_disagreeing_methods_are_an_internal_error(monkeypatch, algebra, op, index, result):
     monkeypatch.setattr(_home(op), op, lambda *args: SignedIndexResult(*result))
-    code, out, err = _run(capsys, "straighten", "--algebra", algebra, "--method", "all", index)
+    code, out, err = child.in_process("straighten", "--algebra", algebra, "--method", "all", index)
     assert (code, out) == (2, "")
     assert err.startswith("internal error: straightening methods disagree: ")
     assert err.count("\n") == 1
 
 
-def test_method_all_leaves_the_shared_table_as_it_was(capsys, monkeypatch):
+def test_method_all_leaves_the_shared_table_as_it_was(monkeypatch):
     calls = []
     real = shifted.shifted_straighten
     monkeypatch.setattr(shifted, "shifted_straighten", lambda w: calls.append(w) or real(w))
     table = {algebra: dict(methods) for algebra, methods in cli._METHODS.items()}
     q_all = ("straighten", "--algebra", "q", "--method", "all")
-    assert _run(capsys, *q_all, "0,1") == (0, "-1 * Q[1,0]\n", "")
+    assert child.in_process(*q_all, "0,1") == (0, "-1 * Q[1,0]\n", "")
     assert calls == []  # shifted codes carry positive rows only
-    assert _run(capsys, *q_all, "1,2") == (0, "-1 * Q[2,1]\n", "")
+    assert child.in_process(*q_all, "1,2") == (0, "-1 * Q[2,1]\n", "")
     assert len(calls) == 1
     assert cli._METHODS == table
 
@@ -234,7 +214,7 @@ def test_method_all_leaves_the_shared_table_as_it_was(capsys, monkeypatch):
         ("q", "shifted", "2,3", "-1 * Q[3,2]\n"),
     ],
 )
-def test_one_method_runs_no_other_route(capsys, monkeypatch, algebra, method, index, expected):
+def test_one_method_runs_no_other_route(monkeypatch, algebra, method, index, expected):
     def refuse(*args):
         raise AssertionError("a route that was not asked for ran")
 
@@ -242,52 +222,44 @@ def test_one_method_runs_no_other_route(capsys, monkeypatch, algebra, method, in
         for m, (op, _) in methods.items():
             if (a, m) != (algebra, method):
                 monkeypatch.setattr(_home(op), op, refuse)
-    code, out, err = _run(capsys, "straighten", "--algebra", algebra, "--method", method, index)
+    code, out, err = child.in_process("straighten", "--algebra", algebra, "--method", method, index)
     assert (code, out, err) == (0, expected, "")
 
 
 @pytest.mark.parametrize("method", ["code", "reading", "oracle", "all"])
 @pytest.mark.parametrize("index", ["2,-1", "-1"])
-def test_b_methods_reject_a_negative_row(capsys, method, index):
+def test_b_methods_reject_a_negative_row(method, index):
     # B_{-1} . 1 = h_{-1} = 0, so no B method may print a product for a negative row
-    code, out, err = _run(capsys, "straighten", "--algebra", "b", "--method", method, "--", index)
+    argv = ("straighten", "--algebra", "b", "--method", method, "--", index)
+    code, out, err = child.in_process(*argv)
     assert (code, out) == (1, "")
     assert err == "error: index entry -1 is below the allowed minimum 0\n"
 
 
-def test_act_on_empty_index(capsys):
-    code, out, _ = _run(capsys, "act", "--algebra", "b", "-n", "3")
+def test_act_on_empty_index():
+    code, out, _ = child.in_process("act", "--algebra", "b", "-n", "3")
     assert code == 0 and out == "+1 * B[3]\n"
-    code, out, _ = _run(capsys, "act", "--algebra", "q", "-n", "0")
+    code, out, _ = child.in_process("act", "--algebra", "q", "-n", "0")
     assert code == 0 and out == "+1 * Q[0]\n"
 
 
-def test_verify_corpus_subcommand(capsys):
-    code, out, _ = _run(capsys, "verify", "--suite", "corpus")
+def test_verify_corpus_subcommand():
+    code, out, _ = child.in_process("verify", "--suite", "corpus")
     assert code == 0
     assert out.startswith("suite=corpus cases=")
     assert "failures=0" in out
 
 
-def test_verify_small_sweep_json(capsys):
-    code, out, _ = _run(
-        capsys,
-        "verify",
-        "--suite",
-        "codes",
-        "--max-part",
-        "2",
-        "--max-len",
-        "2",
-        "--format",
-        "json",
+def test_verify_small_sweep_json():
+    code, out, _ = child.in_process(
+        "verify", "--suite", "codes", "--max-part", "2", "--max-len", "2", "--format", "json"
     )
     assert code == 0
     report = json.loads(out.splitlines()[0])
     assert report["suite"] == "codes" and report["failures"] == 0
 
 
-def test_corpus_file_replay(tmp_path, capsys):
+def test_corpus_file_replay(tmp_path):
     lines = [
         canonical_json(
             {
@@ -306,29 +278,29 @@ def test_corpus_file_replay(tmp_path, capsys):
     ]
     path = tmp_path / "mini.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    code, out, _ = _run(capsys, "verify", "--suite", "corpus", "--file", str(path))
+    code, out, _ = child.in_process("verify", "--suite", "corpus", "--file", str(path))
     assert code == 0 and "cases=2 failures=0" in out
 
 
-def test_corpus_failure_reporting(tmp_path, capsys):
+def test_corpus_failure_reporting(tmp_path):
     entry = canonical_json(
         {"op": "straighten_B", "args": {"index": [1, 3]}, "expected": {"zero": True}}
     )
     path = tmp_path / "bad.jsonl"
     path.write_text(entry + "\n", encoding="utf-8")
     out_path = tmp_path / "failures.jsonl"
-    code, out, _ = _run(
-        capsys, "verify", "--suite", "corpus", "--file", str(path), "--output", str(out_path)
+    code, out, _ = child.in_process(
+        "verify", "--suite", "corpus", "--file", str(path), "--output", str(out_path)
     )
     assert code == 1 and "failures=1" in out
     failure = json.loads(out_path.read_text().splitlines()[0])
     assert failure["suite"] == "corpus" and failure["expected"] == {"zero": True}
 
 
-def test_verify_missing_corpus_file_is_an_error(tmp_path, capsys):
+def test_verify_missing_corpus_file_is_an_error(tmp_path):
     missing = str(tmp_path / "missing.jsonl")
     for suite in (("--suite", "corpus"), ()):  # () runs every suite, the corpus last
-        code, out, err = _run(capsys, "verify", *suite, "--file", missing)
+        code, out, err = child.in_process("verify", *suite, "--file", missing)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "missing.jsonl" in err
 
@@ -341,27 +313,29 @@ def test_verify_missing_corpus_file_is_an_error(tmp_path, capsys):
         ("--n-max", "20000", "n_max must be at most 1000, got 20000"),
     ],
 )
-def test_verify_range_beyond_its_bound_is_an_error(capsys, flag, value, message):
+def test_verify_range_beyond_its_bound_is_an_error(flag, value, message):
     start = time.perf_counter()
-    code, out, err = _run(capsys, "verify", flag, value)
+    code, out, err = child.in_process("verify", flag, value)
     assert time.perf_counter() - start < 0.5
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
 
 
-def test_verify_accepts_its_largest_ranges(capsys):
+def test_verify_accepts_its_largest_ranges():
     argv = "verify --suite corpus --max-part 8 --max-len 4 --i-max 1000 --n-max 1000"
-    code, out, err = _run(capsys, *argv.split())
+    code, out, err = child.in_process(*argv.split())
     assert code == 0 and err == "" and "failures=0" in out
 
 
 def test_suite_choices_match_the_verify_suites():
-    assert cli._SUITES == tuple(verify.SUITES)
+    assert list(cli._SUITES) == list(verify.SUITES)
+    for name, flags in cli._SUITES.items():  # each sweep takes one argument per flag
+        assert len(inspect.signature(verify.SUITES[name]).parameters) == len(flags), name
 
 
-def test_verify_unwritable_output_is_an_error(tmp_path, capsys):
-    code, out, err = _run(
-        capsys, "verify", "--suite", "corpus", "--output", str(tmp_path / "no_dir" / "x")
+def test_verify_unwritable_output_is_an_error(tmp_path):
+    code, out, err = child.in_process(
+        "verify", "--suite", "corpus", "--output", str(tmp_path / "no_dir" / "x")
     )
     assert code == 1 and out == ""
     assert err.startswith("error:") and "no_dir" in err
@@ -375,13 +349,13 @@ def test_verify_unwritable_output_is_an_error(tmp_path, capsys):
     ],
     ids=["not-json", "no-args"],
 )
-def test_verify_malformed_corpus_line_is_a_failure(tmp_path, capsys, line):
+def test_verify_malformed_corpus_line_is_a_failure(tmp_path, line):
     good = canonical_json(
         {"op": "straighten_B", "args": {"index": [1, 3]}, "expected": {"sign": -1, "index": [2, 2]}}
     )
     path = tmp_path / "bad.jsonl"
     path.write_text(good + "\n" + line + "\n", encoding="utf-8")
-    code, out, err = _run(capsys, "verify", "--suite", "corpus", "--file", str(path))
+    code, out, err = child.in_process("verify", "--suite", "corpus", "--file", str(path))
     assert code == 1 and err == ""
     lines = out.splitlines()
     assert lines[0].startswith("suite=corpus cases=2 failures=1")
@@ -389,7 +363,7 @@ def test_verify_malformed_corpus_line_is_a_failure(tmp_path, capsys, line):
     assert failure["suite"] == "corpus" and failure["input"] == {"line": 2}
 
 
-def test_verify_deeply_nested_corpus_line_is_a_failure(tmp_path, capsys):
+def test_verify_deeply_nested_corpus_line_is_a_failure(tmp_path):
     # json.loads raises RecursionError past its depth limit, which varies by
     # Python version: 995 deep is past it on 3.10 and 3.11, 100,000 everywhere
     lines = [
@@ -399,7 +373,7 @@ def test_verify_deeply_nested_corpus_line_is_a_failure(tmp_path, capsys):
     ]
     path = tmp_path / "deep.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    code, out, err = _run(capsys, "verify", "--suite", "corpus", "--file", str(path))
+    code, out, err = child.in_process("verify", "--suite", "corpus", "--file", str(path))
     assert code == 1 and err == ""
     report, *failures = out.splitlines()
     assert report.startswith("suite=corpus cases=2 failures=2")
@@ -413,13 +387,13 @@ def test_verify_deeply_nested_corpus_line_is_a_failure(tmp_path, capsys):
     assert proc.stdout.startswith("suite=corpus cases=2 failures=2")
 
 
-def test_verify_factorial_corpus_line_is_a_failure(tmp_path, capsys):
+def test_verify_factorial_corpus_line_is_a_failure(tmp_path):
     # 13 exponents would be 13! permutations, hours of work: the cap refuses them
     line = {"op": "bialternant", "args": {"exponents": [0] * 13}, "expected": {"poly": "0"}}
     path = tmp_path / "big.jsonl"
     path.write_text(canonical_json(line) + "\n", encoding="utf-8")
     start = time.perf_counter()
-    code, out, err = _run(capsys, "verify", "--suite", "corpus", "--file", str(path))
+    code, out, err = child.in_process("verify", "--suite", "corpus", "--file", str(path))
     assert time.perf_counter() - start < 5
     assert code == 1 and err == ""
     report, failure = out.splitlines()
@@ -657,24 +631,12 @@ REUSE_SEQUENCE = [
 ]
 
 
-def _outcome(capsys, monkeypatch, argv, env):
-    if env is None:
-        monkeypatch.delenv("CODECALC_FORMAT", raising=False)
-    else:
-        monkeypatch.setenv("CODECALC_FORMAT", env)
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = ("SystemExit", exc.code)
-    out = capsys.readouterr()
-    return code, out.out, out.err
-
-
-def test_reused_parser_leaks_no_state(capsys, monkeypatch):
+def test_reused_parser_leaks_no_state():
+    tables = copy.deepcopy(cli._TABLES)  # no call may edit a command's table
     fresh = {}
     for argv, env in REUSE_SEQUENCE:
         cli._build_parser.cache_clear()
-        fresh[argv, env] = _outcome(capsys, monkeypatch, argv, env)
+        fresh[argv, env] = child.in_process(*argv, env=env)
     assert fresh[("straighten", "--help"), None][0] == ("SystemExit", 0)
     assert {code for code, _, _ in fresh.values()} == {0, 1, ("SystemExit", 0)}
 
@@ -682,7 +644,8 @@ def test_reused_parser_leaks_no_state(capsys, monkeypatch):
     for order in (REUSE_SEQUENCE[::-1], interleaved):
         cli._build_parser.cache_clear()
         for argv, env in order:
-            assert _outcome(capsys, monkeypatch, argv, env) == fresh[argv, env], argv
+            assert child.in_process(*argv, env=env) == fresh[argv, env], argv
+    assert cli._TABLES == tables
 
 
 # argvs where the table and the top-level parser could part ways: help, no or
@@ -723,15 +686,14 @@ PLAIN_EDGES = [
     + [(prefix + (value,), None) for prefix in INT_FLAGS for value in INT_VALUES]
     + [(argv, None) for argv, _ in PLAIN_EDGES],
 )
-def test_a_command_parser_answers_as_the_top_level_parse(capsys, monkeypatch, argv, env):
+def test_a_command_parser_answers_as_the_top_level_parse(argv, env):
     parser = cli._build_parser()
     if argv and argv[0] in cli._TABLES:
-        ns = cli._match(cli._TABLES[argv[0]], argv[1:])
-        if ns is not None:
-            assert {**vars(ns), "command": argv[0]} == vars(parser.parse_args(argv))
-    table = _outcome(capsys, monkeypatch, argv, env)
-    monkeypatch.setattr(cli, "_match", lambda table, args: None)  # argparse parses every argv
-    assert _outcome(capsys, monkeypatch, argv, env) == table
+        args = cli._match(cli._TABLES[argv[0]], argv[1:])
+        if args is not None:
+            assert {**args, "command": argv[0]} == vars(parser.parse_args(argv))
+    table = child.in_process(*argv, env=env)
+    assert child.in_process(*argv, env=env, argparse_only=True) == table
 
 
 def _record_parses(monkeypatch, parser):
@@ -746,19 +708,19 @@ def _record_parses(monkeypatch, parser):
     return calls
 
 
-def test_a_plain_argv_takes_no_argparse_pass(capsys, monkeypatch):
+def test_a_plain_argv_takes_no_argparse_pass(monkeypatch):
     parser = cli._build_parser()
     calls = _record_parses(monkeypatch, parser)
     for argv, expected in GOLDEN_TEXT:
-        assert _run(capsys, *argv) == (0, expected, ""), argv
-    code, out, _ = _run(capsys, "verify", "--suite", "corpus")
+        assert child.in_process(*argv) == (0, expected, ""), argv
+    code, out, _ = child.in_process("verify", "--suite", "corpus")
     assert code == 0 and out.startswith("suite=corpus cases=")
     assert {argv[0] for argv, _ in GOLDEN_TEXT} | {"verify"} == set(cli._TABLES)
     assert calls == []  # every plain argv is answered from its command's table
 
     # any other argv takes exactly one top-level parse
     for argv, taken in PLAIN_EDGES:
-        _outcome(capsys, monkeypatch, argv, None)
+        child.in_process(*argv)
         assert calls == ([] if taken else [list(argv)]), argv
         calls.clear()
 
@@ -767,7 +729,7 @@ def test_a_plain_argv_takes_no_argparse_pass(capsys, monkeypatch):
         ("act", "--algebra", "b", "-n5", "--index", "2"),
         ("straighten", "--help"),
     ]:
-        _outcome(capsys, monkeypatch, argv, None)
+        child.in_process(*argv)
         assert calls == [list(argv)], argv
         calls.clear()
 
@@ -777,7 +739,7 @@ def test_a_plain_argv_takes_no_argparse_pass(capsys, monkeypatch):
         (("frobnicate",), 1, "error: argument command: invalid choice: 'frobnicate'"),
         (("straighten", "1,2"), 1, "error: the following arguments are required: --algebra"),
     ]:
-        code, out, err = _outcome(capsys, monkeypatch, argv, None)
+        code, out, err = child.in_process(*argv)
         assert code == ends and message in out + err, argv
         assert calls == [list(argv)], argv
         calls.clear()

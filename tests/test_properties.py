@@ -7,17 +7,14 @@ exhaustive sweeps in the other test files and in ``codecalc verify`` stay.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import child
 from codecalc import bernstein, cli, codes, ops, qvertex, shifted, verify
-from codecalc.cli import main
 from codecalc.core import ZERO, SignedIndexResult, canonical_json
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -235,12 +232,10 @@ argvs = st.one_of(
 @_SETTINGS
 @given(argvs)
 def test_cli_fuzz_exits_0_or_1_without_traceback(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1), (argv, err.getvalue())
-    assert "Traceback" not in err.getvalue()
-    assert (code == 0) == (err.getvalue() == "")
+    code, _, err = child.in_process(*argv)
+    assert code in (0, 1), (argv, err)
+    assert "Traceback" not in err
+    assert (code == 0) == (err == "")
 
 
 # The exit contract over the CLI grammar: each command with its options in any
@@ -313,25 +308,10 @@ def contract_argvs(draw):
     return [command] + [arg for piece in pieces for arg in piece]
 
 
-def _ends(argv, match=None):
-    """main(argv) as a process would end: (exit code, stdout, stderr)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(contextlib.redirect_stdout(out))
-        stack.enter_context(contextlib.redirect_stderr(err))
-        if match is not None:
-            stack.enter_context(mock.patch.object(cli, "_match", match))
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
 @_SETTINGS
 @given(contract_argvs())
 def test_cli_exit_contract(argv):
-    code, out, err = _ends(argv)
+    code, out, err = child.in_process(*argv)
     assert code in (0, 1, 2), (argv, err)
     assert "Traceback" not in out + err
     parser = cli._build_parser()
@@ -339,7 +319,7 @@ def test_cli_exit_contract(argv):
         assert err == "", argv
         # the JSON form parses, and the text form renders the same result
         end = argv.index("--") if "--" in argv else len(argv)
-        _, as_json, _ = _ends(argv[:end] + ["--format", "json"] + argv[end:])
+        _, as_json, _ = child.in_process(*argv[:end], "--format", "json", *argv[end:])
         result = json.loads(as_json)
         assert as_json == canonical_json(result) + "\n"
         args = vars(parser.parse_args(argv))
@@ -348,10 +328,10 @@ def test_cli_exit_contract(argv):
     else:
         assert err.splitlines()[-1].startswith(("error:", "internal error:")), (argv, err)
     # argparse, parsing every argv, ends each alike
-    assert _ends(argv, match=lambda table, args: None) == (code, out, err)
-    ns = cli._match(cli._TABLES[argv[0]], argv[1:])
-    if ns is not None:
-        assert {**vars(ns), "command": argv[0]} == vars(parser.parse_args(argv))
+    assert child.in_process(*argv, argparse_only=True) == (code, out, err)
+    args = cli._match(cli._TABLES[argv[0]], argv[1:])
+    if args is not None:
+        assert {**args, "command": argv[0]} == vars(parser.parse_args(argv))
 
 
 # JSON-like values: every scalar json encodes (floats with nan and inf, ints
